@@ -33,9 +33,9 @@ rec = traj.steps[0]
 print(f"step 1 solved by {rec.method} in {rec.iterations} iterations, "
       f"residual {rec.residual:.1e}")
 
-# The residual check applies the Caputo difference operator to the states
-# through a completely different code path (gamma-ratio kernels rather than
-# the weight recurrence) and compares against f(t, x(t + nu*h)).
+# The residual check applies the binomial-sum form of the Caputo difference
+# to the states, a code path independent of the solver (gamma-ratio kernels
+# rather than the weight recurrence), and compares against f(t, x(t + nu*h)).
 print("operator residual over the whole trajectory:", residual_check(traj))
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ sys0 = SystemDef(
 )
 unforced = solve(sys0, 8)
 print("\nunforced RL states:", unforced.states.values[:, 0])
-print("binomial weights:  ", binomial_weights(0.5, 8).values)
+print("binomial weights:  ", binomial_weights(0.5, 8))
 
 # ---------------------------------------------------------------------------
 # All four demo systems decay; the decay report summarizes the norm history

@@ -8,9 +8,7 @@ problems, and a numerical Lyapunov certification engine for their stability.
 from .special import (
     GammaPoleError,
     HFactorialPoleError,
-    WeightSeq,
     binomial_weights,
-    convolve,
     gamma,
     gamma_sign,
     h_factorial,

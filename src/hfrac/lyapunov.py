@@ -1,9 +1,9 @@
 """Numerical stability certification for fractional order-nu systems.
 
-Three layers live here:
+Three layers live here, plus a cross-check:
 
-* a cyclic Jacobi eigensolver for real symmetric matrices (the
-  diagonalization every quadratic-form argument rests on);
+* definiteness checks for the weight matrices, by LAPACK's symmetric
+  eigenvalue routine (``np.linalg.eigvalsh``);
 * margin checkers for the operator inequalities that make Lyapunov
   candidates work, namely  p * y^(p-1)(t+nu*h) (D^nu y)(t) >= (D^nu y^p)(t)
   for the quadratic (p=2), odd-power (p = 3, 5, ..., with y >= 0) and
@@ -14,6 +14,11 @@ Three layers live here:
   x_i^(p-1) f_i(t,x) <= 0 (power candidates), evaluated over a
   deterministic low-discrepancy lattice.  A certificate is sampled
   evidence, not a proof, and the report says so.
+
+The cyclic Jacobi eigensolver (``jacobi_diagonalize``) gives the explicit
+diagonalization P = B diag(lam) B^T that every quadratic-form argument rests
+on.  It is public as an independent oracle for tests; no function here
+calls it.
 """
 
 from __future__ import annotations
@@ -133,21 +138,21 @@ def jacobi_diagonalize(
 
 def _check_spd(p) -> np.ndarray:
     p = _check_symmetric(p)
-    eig = jacobi_diagonalize(p)
-    if np.min(eig.eigenvalues) <= 0.0:
+    lam = np.linalg.eigvalsh(p)
+    if lam[0] <= 0.0:
         raise NotPositiveDefiniteError(
-            f"matrix has a nonpositive eigenvalue ({np.min(eig.eigenvalues):.3e})"
+            f"matrix has a nonpositive eigenvalue ({lam[0]:.3e})"
         )
     return p
 
 
 def _check_psd(p) -> np.ndarray:
     p = _check_symmetric(p)
-    eig = jacobi_diagonalize(p)
-    scale = max(float(np.max(np.abs(eig.eigenvalues))), 1.0)
-    if np.min(eig.eigenvalues) < -1e-12 * scale:
+    lam = np.linalg.eigvalsh(p)
+    scale = max(float(np.max(np.abs(lam))), 1.0)
+    if lam[0] < -1e-12 * scale:
         raise NotPositiveDefiniteError(
-            f"matrix has a negative eigenvalue ({np.min(eig.eigenvalues):.3e})"
+            f"matrix has a negative eigenvalue ({lam[0]:.3e})"
         )
     return p
 

@@ -12,10 +12,17 @@ Operators implemented, each in its defining form and (for the two
 fractional differences) an equivalent single-sum form used as a cross-check:
 
 * ``forward_difference``   -- (f(t+h) - f(t)) / h, iterated.
-* ``fractional_sum``       -- order-nu summation, kernel built from the
-                              falling factorial.
+* ``fractional_sum``       -- order-nu summation; its kernel
+                              h/Gamma(nu) ((m+nu-1)h)_h^(nu-1) equals
+                              h^nu C(m+nu-1, m) and is built from the
+                              binomial weight recurrence.
 * ``rl_difference``        -- forward difference of the (1-nu)-sum.
 * ``caputo_difference``    -- (1-nu)-sum of the forward difference.
+* ``rl_difference_direct``, ``caputo_difference_direct`` -- single-sum
+                              forms with gamma-ratio falling-factorial
+                              kernels; independent oracles for tests and the
+                              solver's residual check, not used by any other
+                              operator.
 * ``summation_by_parts_residual`` -- discrete integration-by-parts identity,
                               kept as a self-test oracle.
 """
@@ -28,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import _h_factorial_array, reciprocal_gamma
+from .special import _h_factorial_array, binomial_weights, reciprocal_gamma
 
 __all__ = [
     "HGrid",
@@ -171,13 +178,14 @@ def _convolve_columns(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=16)
 def _kernel(offset: float, nu: float, h: float, n: int) -> np.ndarray:
     """Memoized falling-factorial kernel ((m + offset) h)_h^(nu) for m = 0..n-1.
 
-    Kernels depend only on (offset, nu, h, n) and the operators are called
-    with the same handful of combinations thousands of times in the
-    randomized suites.
+    Only the ``*_direct`` oracles use it.  Kernels depend only on
+    (offset, nu, h, n), and the tests call the oracles with a few
+    combinations many times; the cache is small because a kernel can hold
+    1e5 points.
     """
     values = _h_factorial_array(np.arange(n) + offset, nu, h)
     values.setflags(write=False)
@@ -204,20 +212,18 @@ def fractional_sum(f: GridFunction, nu: float) -> ShiftedGridFunction:
 
     At the k-th output point the value is
     (h / Gamma(nu)) * sum_j (t - (j+1)h - a)_h^(nu-1) * f(a + j*h), j = 0..k,
-    and the order-0 operator is the identity.  For integer nu this reduces
-    to the iterated plain summation.
+    which equals h^nu * sum_j C(k-j+nu-1, k-j) * f(a + j*h) and is computed
+    that way, from :func:`binomial_weights`.  The order-0 operator is the
+    identity.  For integer nu this reduces to the iterated plain summation.
     """
     if nu < 0.0:
         raise ValueError(f"order must be nonnegative, got nu = {nu!r}")
     if nu == 0.0:
         return ShiftedGridFunction(f.grid, 0.0, f.values.copy())
-    n = f.grid.n_points
     h = f.grid.h
-    # kernel[m] = ((m + nu - 1) h)_h^(nu-1); the newest point gets kernel[0].
-    kernel = _kernel(nu - 1.0, nu - 1.0, h, n)
-    pref = h * reciprocal_gamma(nu)
-    vals = pref * _convolve_columns(kernel, f.values)
-    return ShiftedGridFunction(f.grid, nu * h, vals)
+    # The newest point gets kernel[0] = h^nu.
+    kernel = h**nu * binomial_weights(nu, f.grid.n_points - 1)
+    return ShiftedGridFunction(f.grid, nu * h, _convolve_columns(kernel, f.values))
 
 
 def _require_frac_order(nu: float) -> None:

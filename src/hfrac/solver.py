@@ -32,8 +32,9 @@ from .operators import (
     GridFunction,
     HGrid,
     ShiftedGridFunction,
-    caputo_difference,
-    rl_difference,
+    caputo_difference_direct,
+    fractional_sum,
+    rl_difference_direct,
 )
 from .special import binomial_weights
 
@@ -230,7 +231,7 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     """March the convolution-quadrature recursion n_steps points forward."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    weights = binomial_weights(sys.nu, max(n_steps, 1)).values
+    weights = binomial_weights(sys.nu, max(n_steps, 1))
     scale = sys.h**sys.nu
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = sys.x0
@@ -269,15 +270,16 @@ def rl_solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Tra
 def residual_check(traj: Trajectory) -> float:
     """Substitute the trajectory back into its defining operator.
 
-    The fractional difference of the states is evaluated through the
-    operator module (gamma-ratio kernels, a code path independent of the
-    solver's weight recurrence) and compared with f(t, x(t + nu*h)) at every
-    admissible point; the worst infinity-norm defect is returned.
+    The fractional difference of the states is evaluated by the operator
+    module's single-sum forms (``caputo_difference_direct`` and
+    ``rl_difference_direct``, gamma-ratio kernels: a code path independent
+    of the solver's weight recurrence) and compared with f(t, x(t + nu*h))
+    at every admissible point; the worst infinity-norm defect is returned.
     """
     sys = traj.system
     if traj.n_steps < 1:
         return 0.0
-    op = caputo_difference if sys.kind is OperatorKind.CAPUTO else rl_difference
+    op = caputo_difference_direct if sys.kind is OperatorKind.CAPUTO else rl_difference_direct
     g = op(traj.states, sys.nu)
     worst = 0.0
     for k in range(g.n_points):
@@ -294,7 +296,8 @@ def reconstruct_from_difference(
 
     Given g = (D^nu x) sampled on the displaced scale and the initial state,
     the convolution inversion produces x on the original scale; composing
-    with the matching difference operator is the identity.
+    with the matching difference operator is the identity.  The memory term
+    is the order-nu sum of g.
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"order must lie in (0, 1], got nu = {nu!r}")
@@ -302,20 +305,14 @@ def reconstruct_from_difference(
     if x0.shape != (g.dim,):
         raise ValueError(f"x0 must have length {g.dim}, got {x0.shape}")
     m = g.n_points
-    h = g.base_grid.h
-    weights = binomial_weights(nu, m).values
-    scale = h**nu
-    states = np.empty((m + 1, g.dim))
-    states[0] = x0
-    memory = np.empty((m, g.dim))
-    for j in range(g.dim):
-        memory[:, j] = np.convolve(weights[:m], g.values[:, j])[:m]
+    grid = g.base_grid
+    memory = fractional_sum(GridFunction(HGrid(grid.a, grid.h, m), g.values), nu)
     if kind is OperatorKind.CAPUTO:
-        base = np.broadcast_to(x0, (m, g.dim))
+        base = x0
     else:
-        base = np.outer(weights[1 : m + 1], np.ones(g.dim)) * x0
-    states[1:] = base + scale * memory
-    return GridFunction(HGrid(g.base_grid.a, h, m + 1), states)
+        base = binomial_weights(nu, m)[1:, None] * x0
+    states = np.vstack([x0, base + memory.values])
+    return GridFunction(HGrid(grid.a, grid.h, m + 1), states)
 
 
 def write_step_csv(traj: Trajectory, path) -> None:

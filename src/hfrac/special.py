@@ -1,30 +1,30 @@
 """Scalar special functions underlying the fractional step-h operators.
 
-Everything else in the package reduces to four ingredients implemented here:
-a self-contained log-gamma (Lanczos approximation plus reflection), the
-step-h falling factorial with its zero/pole conventions, the binomial weight
-sequences that drive the convolution quadrature, and plain discrete
-convolution.  All functions are pure and safe to call concurrently.
+Three ingredients live here: a self-contained log-gamma (Lanczos
+approximation plus reflection), the step-h falling factorial with its
+zero/pole conventions, and the binomial weights C(k+nu-1, k).  The weights
+are the one production kernel: every operator and the solver build their
+convolutions from :func:`binomial_weights`.  The gamma-ratio falling
+factorial is kept for the definitions and for the independent ``*_direct``
+operator forms that tests and ``residual_check`` compare against.  All
+functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GammaPoleError",
     "HFactorialPoleError",
-    "WeightSeq",
     "log_gamma",
     "gamma_sign",
     "gamma",
     "reciprocal_gamma",
     "h_factorial",
     "binomial_weights",
-    "convolve",
 ]
 
 # Grid points are constructed as a + k*h and pick up rounding on the way in,
@@ -169,8 +169,10 @@ def h_factorial(t: float, nu: float, h: float) -> float:
 def _h_factorial_array(t_over_h: np.ndarray, nu: float, h: float) -> np.ndarray:
     """Vectorized falling factorial for pole-free argument arrays.
 
-    Used to build operator kernels, whose arguments are known to avoid both
-    the pole and the zero-convention cases.
+    Builds the gamma-ratio kernels of the ``*_direct`` operator forms only;
+    their arguments are known to avoid both the pole and the
+    zero-convention cases.  Production kernels come from
+    :func:`binomial_weights`.
     """
     num = np.asarray(t_over_h, dtype=float) + 1.0
     den = num - nu
@@ -178,45 +180,15 @@ def _h_factorial_array(t_over_h: np.ndarray, nu: float, h: float) -> np.ndarray:
     return h**nu * sign * np.exp(_log_abs_gamma(num) - _log_abs_gamma(den))
 
 
-@dataclass(frozen=True)
-class WeightSeq:
-    """Binomial weight sequence C(k+nu-1, k) for k = 0..N.
-
-    For nu in (0, 1] the values start at 1, stay in (0, 1], and are
-    non-increasing; these weights are the convolution-quadrature kernel of
-    the order-nu summation operator.
-    """
-
-    nu: float
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-
-def binomial_weights(nu: float, n: int) -> WeightSeq:
+def binomial_weights(nu: float, n: int) -> np.ndarray:
     """Weights C(k+nu-1, k) for k = 0..n via the multiplicative recurrence.
 
     w[0] = 1 and w[k] = w[k-1] * (k+nu-1)/k, which avoids gamma-ratio
-    overflow for large k.  Any real nu is accepted; the positivity and
-    monotonicity guarantees hold for nu in (0, 1].
+    overflow and drift for large k.  Scaled by h^nu they are the kernel of
+    the order-nu summation operator.  Any real nu is accepted; for nu in
+    (0, 1] the values start at 1, stay in (0, 1] and are non-increasing.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return WeightSeq(nu, np.ones(1))
     k = np.arange(1.0, n + 1.0)
-    values = np.concatenate(([1.0], np.cumprod((k + nu - 1.0) / k)))
-    return WeightSeq(nu, values)
-
-
-def convolve(x, y, n: int) -> float:
-    """Discrete convolution sum_{s=0}^{n} x[n-s] * y[s]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if n < 0 or n >= len(x) or n >= len(y):
-        raise IndexError(f"convolution index {n} out of range")
-    return float(np.dot(x[n::-1], y[: n + 1]))
+    return np.concatenate(([1.0], np.cumprod((k + nu - 1.0) / k)))

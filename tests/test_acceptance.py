@@ -175,7 +175,7 @@ def test_criterion_4_derived_step_values():
             x0=np.array([1.0]), rhs=lambda t, x: np.zeros(1),
         )
         traj = solve(sys, 24)
-        expected = binomial_weights(nu, 24).values
+        expected = binomial_weights(nu, 24)
         err_weights = max(err_weights, float(np.max(np.abs(traj.states.values[:, 0] - expected))))
 
     ok = err_linear <= 1e-12 and err_cubic <= 1e-9 and err_weights <= 1e-12

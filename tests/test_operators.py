@@ -8,6 +8,7 @@ from hfrac import (
     GridMismatchError,
     HGrid,
     InsufficientPointsError,
+    OperatorKind,
     caputo_difference,
     caputo_difference_direct,
     forward_difference,
@@ -15,6 +16,7 @@ from hfrac import (
     h_factorial,
     read_grid_csv,
     reciprocal_gamma,
+    reconstruct_from_difference,
     rl_difference,
     rl_difference_direct,
     summation_by_parts_residual,
@@ -157,6 +159,17 @@ class TestDefinitionalEquivalence:
         f = GridFunction(HGrid(0.0, 1.0, 10), np.zeros(10))
         for op in (rl_difference_direct, caputo_difference_direct):
             np.testing.assert_array_equal(op(f, 0.4).values, np.zeros((9, 1)))
+
+    def test_long_series_small_order(self):
+        # 1e4 points at nu = 0.02: a gamma-ratio kernel for the (1-nu)-sum
+        # drifted past 1e-9 relative here; the binomial recurrence does not.
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, (10000, 1))
+        f = GridFunction(HGrid(0.0, 1.0, 10000), x)
+        nu = 0.02
+        g = caputo_difference(f, nu)
+        back = reconstruct_from_difference(g, x[0], OperatorKind.CAPUTO, nu)
+        assert_close(back.values, x)
+        assert_close(rl_difference(f, nu).values, rl_difference_direct(f, nu).values)
 
 
 class TestRlDifference:

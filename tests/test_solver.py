@@ -92,7 +92,7 @@ class TestDegenerateOrders:
                 OperatorKind.RIEMANN_LIOUVILLE, nu, lambda t, x: 0.0, x0=1.5
             )
             traj = solve(sys, 12)
-            expected = 1.5 * binomial_weights(nu, 12).values
+            expected = 1.5 * binomial_weights(nu, 12)
             assert np.max(np.abs(traj.states.values[:, 0] - expected)) <= 1e-12
 
 
@@ -150,7 +150,7 @@ class TestReconstruction:
         g = ShiftedGridFunction(HGrid(0.0, 1.0, 9), 0.5, np.zeros(8))
         x = reconstruct_from_difference(g, [0.7], OperatorKind.RIEMANN_LIOUVILLE, 0.5)
         np.testing.assert_allclose(
-            x.values[:, 0], 0.7 * binomial_weights(0.5, 8).values, atol=1e-14
+            x.values[:, 0], 0.7 * binomial_weights(0.5, 8), atol=1e-14
         )
 
 
@@ -188,7 +188,7 @@ class TestComparisonOrdering:
     def test_weights_stay_at_most_one(self):
         # the RL ordering argument leans on this bound
         for nu in np.linspace(0.05, 1.0, 20):
-            assert np.max(binomial_weights(float(nu), 256).values) <= 1.0
+            assert np.max(binomial_weights(float(nu), 256)) <= 1.0
 
 
 class TestValidationAndFailure:

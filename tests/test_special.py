@@ -5,14 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hfrac import (
     GammaPoleError,
     HFactorialPoleError,
     binomial_weights,
-    convolve,
     gamma,
     gamma_sign,
     h_factorial,
@@ -111,19 +108,19 @@ class TestBinomialWeights:
     def test_first_values(self):
         w = binomial_weights(0.5, 4)
         assert w[0] == 1.0
-        np.testing.assert_allclose(w.values, [1.0, 0.5, 0.375, 0.3125, 0.2734375])
+        np.testing.assert_allclose(w, [1.0, 0.5, 0.375, 0.3125, 0.2734375])
 
     def test_order_one_is_all_ones(self):
-        np.testing.assert_array_equal(binomial_weights(1.0, 16).values, np.ones(17))
+        np.testing.assert_array_equal(binomial_weights(1.0, 16), np.ones(17))
 
     def test_order_zero_is_delta(self):
-        w = binomial_weights(0.0, 8).values
+        w = binomial_weights(0.0, 8)
         assert w[0] == 1.0
         np.testing.assert_array_equal(w[1:], np.zeros(8))
 
     @pytest.mark.parametrize("nu", np.linspace(0.05, 1.0, 20).tolist())
     def test_invariants_up_to_256(self, nu):
-        w = binomial_weights(nu, 256).values
+        w = binomial_weights(nu, 256)
         assert w[0] == 1.0
         assert np.all(w > 0.0)
         assert np.all(w <= 1.0)
@@ -132,7 +129,7 @@ class TestBinomialWeights:
     @pytest.mark.parametrize("nu", [0.1, 0.37, 0.5, 0.86, 1.0])
     def test_recurrence_matches_gamma_ratio(self, nu):
         # Independent oracle: C(k+nu-1, k) through the stdlib lgamma.
-        w = binomial_weights(nu, 64).values
+        w = binomial_weights(nu, 64)
         for k in range(1, 65):
             ref = math.exp(
                 math.lgamma(k + nu) - math.lgamma(nu) - math.lgamma(k + 1)
@@ -143,45 +140,3 @@ class TestBinomialWeights:
         with pytest.raises(ValueError):
             binomial_weights(0.5, -1)
 
-
-class TestConvolve:
-    def test_delta_is_identity(self):
-        delta = [1.0, 0.0, 0.0, 0.0]
-        y = [3.0, -1.0, 2.0, 7.0]
-        for n in range(4):
-            assert convolve(delta, y, n) == y[n]
-
-    def test_counting(self):
-        assert convolve(np.ones(8), np.ones(8), 3) == 4.0
-
-    def test_weight_value(self):
-        w = binomial_weights(0.5, 3).values
-        assert convolve(w, [1.0, 0.0, 0.0], 2) == pytest.approx(0.375)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            convolve([1.0, 2.0], [1.0, 2.0], 2)
-
-    @given(
-        st.lists(st.floats(-10, 10), min_size=1, max_size=32),
-        st.lists(st.floats(-10, 10), min_size=1, max_size=32),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_commutative(self, xs, ys):
-        n = min(len(xs), len(ys)) - 1
-        assert convolve(xs, ys, n) == pytest.approx(convolve(ys, xs, n), abs=1e-12)
-
-    @given(
-        st.lists(st.floats(-5, 5), min_size=4, max_size=16),
-        st.lists(st.floats(-5, 5), min_size=4, max_size=16),
-        st.lists(st.floats(-5, 5), min_size=4, max_size=16),
-        st.floats(-3, 3),
-        st.floats(-3, 3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_linear_in_each_argument(self, xs, ys, zs, alpha, beta):
-        n = min(len(xs), len(ys), len(zs)) - 1
-        combo = [alpha * y + beta * z for y, z in zip(ys, zs)]
-        direct = convolve(xs, combo, n)
-        split = alpha * convolve(xs, ys, n) + beta * convolve(xs, zs, n)
-        assert direct == pytest.approx(split, abs=1e-10, rel=1e-12)
