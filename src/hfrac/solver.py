@@ -129,7 +129,7 @@ class SystemDef:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Convergence metadata for one implicit step."""
 
@@ -232,6 +232,9 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     weights = binomial_weights(sys.nu, max(n_steps, 1))
+    # Reversed once, so each step's history sum is a contiguous dot product:
+    # rev[n_steps-n+1 : n_steps] = weights[n-1], ..., weights[1].
+    rev = weights[::-1].copy()
     scale = sys.h**sys.nu
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = sys.x0
@@ -241,7 +244,7 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     for n in range(1, n_steps + 1):
         base = states[0] if caputo else weights[n] * states[0]
         if n >= 2:
-            memory = scale * np.tensordot(weights[1:n][::-1], history[: n - 1], axes=(0, 0))
+            memory = scale * (rev[n_steps - n + 1 : n_steps] @ history[: n - 1])
         else:
             memory = np.zeros(sys.dim)
         t = sys.shifted_time(n - 1)
@@ -281,12 +284,10 @@ def residual_check(traj: Trajectory) -> float:
         return 0.0
     op = caputo_difference_direct if sys.kind is OperatorKind.CAPUTO else rl_difference_direct
     g = op(traj.states, sys.nu)
-    worst = 0.0
+    rhs = np.empty_like(g.values)
     for k in range(g.n_points):
-        t = sys.shifted_time(k)
-        defect = g.values[k] - sys.eval_rhs(t, traj.states.values[k + 1])
-        worst = max(worst, _inf_norm(defect))
-    return worst
+        rhs[k] = sys.eval_rhs(sys.shifted_time(k), traj.states.values[k + 1])
+    return float(np.max(np.abs(g.values - rhs)))
 
 
 def reconstruct_from_difference(

@@ -67,11 +67,14 @@ def _nearest_int(x: float) -> tuple[bool, int]:
 
 
 def _log_abs_sin_pi(x):
-    """log|sin(pi*x)| with argument reduction, elementwise."""
+    """log|sin(pi*x)|, elementwise.
+
+    The sine is taken of the distance to the nearest integer, x - round(x),
+    which is exact in floating point, so the relative accuracy holds however
+    close x is to an integer.
+    """
     x = np.asarray(x, dtype=float)
-    r = x - np.floor(x)
-    r = np.minimum(r, 1.0 - r)
-    return np.log(np.sin(np.pi * r))
+    return np.log(np.sin(np.pi * np.abs(x - np.round(x))))
 
 
 def _sign_sin_pi(x):
@@ -136,9 +139,15 @@ def gamma(x: float) -> float:
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x); returns 0.0 at the poles, where 1/Gamma extends smoothly."""
-    is_int, k = _nearest_int(x)
-    if is_int and k <= 0:
+    """1/Gamma(x); 0.0 exactly at the poles, where 1/Gamma extends smoothly.
+
+    Only exact nonpositive integers count as poles.  Arguments below 0.5
+    go through the reflection formula 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi,
+    whose sine is evaluated on the exact distance to the nearest integer, so
+    the relative accuracy does not degrade however close x is to a pole,
+    from either side.
+    """
+    if x <= 0.0 and x == math.floor(x):
         return 0.0
     return float(_sign_gamma(x)) * math.exp(-float(_log_abs_gamma(x)))
 
@@ -166,15 +175,16 @@ def h_factorial(t: float, nu: float, h: float) -> float:
     return h**nu * sign * math.exp(float(_log_abs_gamma(num) - _log_abs_gamma(den)))
 
 
-def _h_factorial_array(t_over_h: np.ndarray, nu: float, h: float) -> np.ndarray:
-    """Vectorized falling factorial for pole-free argument arrays.
+def _h_factorial_array(num: np.ndarray, nu: float, h: float) -> np.ndarray:
+    """Vectorized falling factorial h^nu Gamma(num)/Gamma(num-nu), num = t/h + 1.
 
     Builds the gamma-ratio kernels of the ``*_direct`` operator forms only;
     their arguments are known to avoid both the pole and the
-    zero-convention cases.  Production kernels come from
-    :func:`binomial_weights`.
+    zero-convention cases.  It takes the numerator argument itself rather
+    than t/h, so a caller can pass one whose distance to a gamma pole is
+    exact.  Production kernels come from :func:`binomial_weights`.
     """
-    num = np.asarray(t_over_h, dtype=float) + 1.0
+    num = np.asarray(num, dtype=float)
     den = num - nu
     sign = _sign_gamma(num) * _sign_gamma(den)
     return h**nu * sign * np.exp(_log_abs_gamma(num) - _log_abs_gamma(den))
@@ -190,5 +200,14 @@ def binomial_weights(nu: float, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    # One preallocated array; the operation order ((k + nu) - 1) / k keeps
+    # the values bit-identical to np.cumprod((k + nu - 1.0) / k).
     k = np.arange(1.0, n + 1.0)
-    return np.concatenate(([1.0], np.cumprod((k + nu - 1.0) / k)))
+    w = np.empty(n + 1)
+    w[0] = 1.0
+    tail = w[1:]
+    np.add(k, nu, out=tail)
+    tail -= 1.0
+    tail /= k
+    tail.cumprod(out=tail)
+    return w

@@ -9,6 +9,7 @@ from hfrac import (
     HGrid,
     InsufficientPointsError,
     OperatorKind,
+    binomial_weights,
     caputo_difference,
     caputo_difference_direct,
     forward_difference,
@@ -22,6 +23,7 @@ from hfrac import (
     summation_by_parts_residual,
     write_grid_csv,
 )
+from hfrac.operators import _FFT_MIN, _convolve_direct
 
 NU_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -170,6 +172,65 @@ class TestDefinitionalEquivalence:
         back = reconstruct_from_difference(g, x[0], OperatorKind.CAPUTO, nu)
         assert_close(back.values, x)
         assert_close(rl_difference(f, nu).values, rl_difference_direct(f, nu).values)
+
+    @pytest.mark.parametrize("nu", [1.0 - 1e-8, 1.0 - 1e-10])
+    def test_order_next_to_one(self, nu):
+        # The oracles once lost the distance of -nu to the gamma pole at -1
+        # and snapped 1/Gamma to 0 within 1e-9 of a pole.
+        grid = HGrid(0.0, 1.0, 6)
+        square = GridFunction(grid, grid.points**2)
+        noise = random_function(np.random.default_rng(11), n=40, dim=2)
+        for f in (square, noise):
+            assert_close(
+                rl_difference_direct(f, nu).values, rl_difference(f, nu).values,
+                rel=1e-12,
+            )
+            assert_close(
+                caputo_difference_direct(f, nu).values,
+                caputo_difference(f, nu).values,
+                rel=1e-12,
+            )
+
+
+def _direct_sum(values: np.ndarray, nu: float, h: float) -> np.ndarray:
+    """Order-nu sum through the plain O(n^2) convolution, as a reference."""
+    kernel = h**nu * binomial_weights(nu, values.shape[0] - 1)
+    return _convolve_direct(kernel, values)
+
+
+class TestFftConvolution:
+    """Series from _FFT_MIN points on are convolved through the blocked FFT."""
+
+    @pytest.mark.parametrize("n", [_FFT_MIN - 1, _FFT_MIN, 4099, 20000])
+    @pytest.mark.parametrize("nu", [0.001, 0.5, 1.0])
+    def test_matches_direct_convolution(self, n, nu):
+        rng = np.random.default_rng(n)
+        h = 0.5
+        f = GridFunction(HGrid(0.0, h, n), rng.uniform(-1.0, 1.0, (n, 2)))
+        ref_sum = _direct_sum(f.values, nu, h)
+        inner = _direct_sum(f.values, 1.0 - nu, h)
+        ref_rl = (inner[1:] - inner[:-1]) / h
+        ref_caputo = _direct_sum((f.values[1:] - f.values[:-1]) / h, 1.0 - nu, h)
+        for actual, ref in (
+            (fractional_sum(f, nu).values, ref_sum),
+            (rl_difference(f, nu).values, ref_rl),
+            (caputo_difference(f, nu).values, ref_caputo),
+        ):
+            assert actual.shape == ref.shape
+            assert np.max(np.abs(actual - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nu", [0.001, 0.5, 0.999])
+    def test_growing_series_elementwise(self, nu):
+        # Early outputs of t^2 are up to 1e12 times smaller than the last
+        # ones; each must still meet the elementwise contract.
+        n = 20000
+        grid = HGrid(0.0, 1.0, n)
+        f = GridFunction(grid, np.column_stack([grid.points**2, np.ones(n)]))
+        inner = _direct_sum(f.values, 1.0 - nu, 1.0)
+        diff = f.values[1:] - f.values[:-1]
+        assert_close(fractional_sum(f, nu).values, _direct_sum(f.values, nu, 1.0))
+        assert_close(rl_difference(f, nu).values, inner[1:] - inner[:-1])
+        assert_close(caputo_difference(f, nu).values, _direct_sum(diff, 1.0 - nu, 1.0))
 
 
 class TestRlDifference:

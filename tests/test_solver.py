@@ -118,6 +118,14 @@ class TestResidualCheck:
         )
         assert residual_check(tampered) > 1e-3
 
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("nu", [1.0 - 1e-8, 1.0 - 1e-10])
+    def test_order_next_to_one(self, kind, nu):
+        # The oracle's 1/Gamma(1 - nu) and 1/Gamma(-nu) once snapped to 0
+        # within 1e-9 of a pole, so a correct solve read as off by 0.5.
+        sys = SystemDef(1, kind, nu, 0.0, 1.0, [1.0], lambda t, x: -x)
+        assert residual_check(solve(sys, 10)) <= 1e-12
+
     def test_step_records(self):
         traj = solve(get_builtin("ex5.2").system, 12)
         assert len(traj.steps) == 12

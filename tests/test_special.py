@@ -59,6 +59,19 @@ class TestLogGamma:
         assert reciprocal_gamma(-3.0) == 0.0
         assert reciprocal_gamma(2.5) == pytest.approx(1.0 / gamma(2.5), rel=1e-13)
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-13])
+    def test_reciprocal_gamma_next_to_poles(self, eps):
+        # 1/Gamma(x) = x (x+1) / Gamma(x+2); x + 1 is exact next to -1.
+        expected = eps / gamma(1.0 + eps)
+        assert reciprocal_gamma(eps) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        x = -1.0 + eps
+        expected = x * (x + 1.0) * reciprocal_gamma(x + 2.0)
+        assert reciprocal_gamma(x) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        # 1/Gamma(-eps) = -eps / Gamma(1 - eps); reducing -eps through
+        # 1 - eps would round away most of its digits.
+        expected = -eps * reciprocal_gamma(1.0 - eps)
+        assert reciprocal_gamma(-eps) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
 
 class TestHFactorial:
     def test_zero_exponent_is_one(self):
@@ -135,6 +148,13 @@ class TestBinomialWeights:
                 math.lgamma(k + nu) - math.lgamma(nu) - math.lgamma(k + 1)
             )
             assert w[k] == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("nu", [-0.7, 0.0, 1e-3, 0.3, 0.5, 1.0 - 1e-10, 1.0, 2.6])
+    def test_bit_identical_to_plain_cumprod(self, nu):
+        for n in (0, 1, 7, 1000):
+            k = np.arange(1.0, n + 1.0)
+            expected = np.concatenate(([1.0], np.cumprod((k + nu - 1.0) / k)))
+            np.testing.assert_array_equal(binomial_weights(nu, n), expected)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
