@@ -14,8 +14,9 @@ convolution with the binomial weights w = C(n+nu-1, n):
     Caputo:            x_n = x_0        + h^nu * sum_{s<n} w[n-1-s] f(t_s, x_{s+1})
     Riemann-Liouville: x_n = w[n] * x_0 + h^nu * sum_{s<n} w[n-1-s] f(t_s, x_{s+1})
 
-The newest term has weight w[0] = 1, so every step is an implicit equation
-solved by fixed-point iteration with a damped-Newton fallback.
+The newest term has weight w[0] = 1, so every step is an implicit equation,
+solved by a damped chord-Newton iteration whose matrix (I - h^nu J)^-1 is
+carried from step to step and rebuilt only when it stops contracting well.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_STEP_TOL = 1e-12
-_FIXED_POINT_CAP = 100
-_NEWTON_CAP = 50
-_JACOBIAN_STEP = 1e-7
+_NEWTON_CAP = 100
+_CONTRACTION = 1e-3
 
 
 class OperatorKind(enum.Enum):
@@ -67,9 +67,9 @@ class OperatorKind(enum.Enum):
 class SolverDivergenceError(RuntimeError):
     """The implicit step solve failed to converge."""
 
-    def __init__(self, step: int, residual: float):
+    def __init__(self, step: int, residual: float, message: str | None = None):
         super().__init__(
-            f"inner solve diverged at step {step} (residual {residual:.3e})"
+            message or f"inner solve diverged at step {step} (residual {residual:.3e})"
         )
         self.step = step
         self.residual = residual
@@ -111,7 +111,7 @@ class SystemDef:
         zero = np.zeros(self.dim)
         for t in (self.shifted_time(0), self.shifted_time(7)):
             fz = self.eval_rhs(t, zero)
-            if np.max(np.abs(fz)) > 1e-12:
+            if not np.all(np.abs(fz) <= 1e-12):  # NaN fails too
                 raise EquilibriumError(
                     f"rhs(t, 0) = {fz} at t = {t}; the origin must be an equilibrium"
                 )
@@ -156,75 +156,77 @@ class Trajectory:
 
 
 def _inf_norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    """max |v_i|, or inf if any entry is not finite (max alone can skip a NaN)."""
+    vals = v.tolist()  # Python's max beats numpy's call overhead on a state
+    return max(map(abs, vals)) if math.isfinite(sum(vals)) else math.inf
 
 
-def _fd_jacobian(sys: SystemDef, t: float, x: np.ndarray) -> np.ndarray:
-    fx = sys.eval_rhs(t, x)
+def _check_finite(step: int, t: float, x: np.ndarray, fx: np.ndarray) -> None:
+    """Fail at a non-finite rhs value taken at a finite state."""
+    if np.all(np.isfinite(x)) and not np.all(np.isfinite(fx)):
+        msg = f"rhs returned a non-finite value {fx} at step {step} (t = {t!r})"
+        raise SolverDivergenceError(step, math.nan, msg)
+
+
+def _iteration_matrix(sys: SystemDef, step: int, t: float, x: np.ndarray,
+                      fx: np.ndarray, scale: float) -> np.ndarray:
+    """(I - scale*J)^-1, J by forward differences of step 1e-7*max(1, |x_j|)."""
     jac = np.empty((sys.dim, sys.dim))
     for j in range(sys.dim):
         xj = x.copy()
-        xj[j] += _JACOBIAN_STEP
-        jac[:, j] = (sys.eval_rhs(t, xj) - fx) / _JACOBIAN_STEP
-    return jac
+        xj[j] += 1e-7 * max(1.0, abs(x[j]))
+        fj = sys.eval_rhs(t, xj)
+        _check_finite(step, t, xj, fj)
+        jac[:, j] = (fj - fx) / (xj[j] - x[j])
+    try:
+        return np.linalg.inv(np.eye(sys.dim) - scale * jac)
+    except np.linalg.LinAlgError:
+        msg = f"singular iteration matrix I - h^nu J at step {step} (t = {t!r})"
+        raise SolverDivergenceError(step, math.nan, msg) from None
 
 
 def _implicit_step(
-    sys: SystemDef,
-    step_index: int,
-    t: float,
-    known: np.ndarray,
-    scale: float,
-    x_start: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, StepRecord]:
-    """Solve x = known + scale * rhs(t, x) to residual <= tol."""
+    sys: SystemDef, step: int, t: float, known: np.ndarray, scale: float,
+    x: np.ndarray, inv: np.ndarray | None, tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, StepRecord]:
+    """Solve x = known + scale * rhs(t, x) to residual <= tol by chord Newton.
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        return x - known - scale * sys.eval_rhs(t, x)
-
-    x = x_start.copy()
-    iters = 0
-    prev_delta = math.inf
-    stalled = 0
-    for iters in range(1, _FIXED_POINT_CAP + 1):
-        x_next = known + scale * sys.eval_rhs(t, x)
-        delta = _inf_norm(x_next - x)
-        x = x_next
-        if delta <= tol:
-            break
-        # Bail out early when the iteration is not contracting; the Newton
-        # fallback handles those steps far more cheaply than the full cap.
-        stalled = stalled + 1 if delta >= 0.7 * prev_delta else 0
-        if stalled >= 3:
-            break
-        prev_delta = delta
-    res = _inf_norm(residual(x))
-    if res <= tol:
-        return x, StepRecord(step_index, iters, res, "fixed-point")
-
-    # Damped Newton fallback with a finite-difference Jacobian; damping is
-    # halved until the residual decreases.
-    for it in range(1, _NEWTON_CAP + 1):
-        g = residual(x)
-        gn = _inf_norm(g)
-        if gn <= tol:
-            return x, StepRecord(step_index, iters + it - 1, gn, "newton")
-        jac = np.eye(sys.dim) - scale * _fd_jacobian(sys, t, x)
-        try:
-            p = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            raise SolverDivergenceError(step_index, gn) from None
-        lam = 1.0
-        while lam >= 1e-8:
-            x_try = x + lam * p
-            if _inf_norm(residual(x_try)) < gn:
-                break
-            lam *= 0.5
-        else:
-            raise SolverDivergenceError(step_index, gn)
-        x = x_try
-    raise SolverDivergenceError(step_index, _inf_norm(residual(x)))
+    Steps x <- x - inv @ g(x) from `x`, with inv = (I - scale*J)^-1 from an
+    earlier step (None builds one).  An iterate that cuts the residual by less
+    than _CONTRACTION is kept only if it lowers it; then a matrix built
+    elsewhere is rebuilt at the better point, and one built here halves its
+    step.  Returns the root, rhs there, the matrix and the step record, which
+    counts each iterate tried (one rhs evaluation) as an iteration.
+    """
+    fx = sys.eval_rhs(t, x)
+    g = x - known - scale * fx
+    gn = _inf_norm(g)
+    if not math.isfinite(gn):
+        _check_finite(step, t, x, fx)
+    fresh, p, iters = False, None, 0
+    while gn > tol:
+        if iters == _NEWTON_CAP:
+            raise SolverDivergenceError(step, gn)
+        iters += 1
+        if inv is None:
+            inv, fresh = _iteration_matrix(sys, step, t, x, fx, scale), True
+        if p is None:
+            p = inv @ g
+        x_new = x - p
+        f_new = sys.eval_rhs(t, x_new)
+        g_new = x_new - known - scale * f_new
+        gn_new = _inf_norm(g_new)
+        if gn_new <= tol or gn_new <= _CONTRACTION * gn or (fresh and gn_new < gn):
+            x, fx, g, gn, fresh, p = x_new, f_new, g_new, gn_new, False, None
+            continue
+        _check_finite(step, t, x_new, f_new)
+        if fresh:
+            p = 0.5 * p
+            continue
+        if gn_new < gn:
+            x, fx, g, gn = x_new, f_new, g_new, gn_new
+        inv = p = None
+    return x, fx, inv, StepRecord(step, iters, gn, "newton")
 
 
 def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajectory:
@@ -241,18 +243,15 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     history = np.empty((n_steps, sys.dim))
     records: list[StepRecord] = []
     caputo = sys.kind is OperatorKind.CAPUTO
+    inv = None
     for n in range(1, n_steps + 1):
         base = states[0] if caputo else weights[n] * states[0]
-        if n >= 2:
-            memory = scale * (rev[n_steps - n + 1 : n_steps] @ history[: n - 1])
-        else:
-            memory = np.zeros(sys.dim)
-        t = sys.shifted_time(n - 1)
-        x, record = _implicit_step(
-            sys, n, t, base + memory, scale, states[n - 1], tol
+        memory = scale * (rev[n_steps - n + 1 : n_steps] @ history[: n - 1])
+        # Linear extrapolation of the last two states starts the iteration.
+        start = 2.0 * states[n - 1] - states[n - 2] if n >= 2 else states[0]
+        states[n], history[n - 1], inv, record = _implicit_step(
+            sys, n, sys.shifted_time(n - 1), base + memory, scale, start, inv, tol
         )
-        states[n] = x
-        history[n - 1] = sys.eval_rhs(t, x)
         records.append(record)
     grid = HGrid(sys.a, sys.h, n_steps + 1)
     return Trajectory(sys, GridFunction(grid, states), tuple(records))

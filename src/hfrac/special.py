@@ -28,7 +28,8 @@ __all__ = [
 ]
 
 # Grid points are constructed as a + k*h and pick up rounding on the way in,
-# so "is this an integer" decisions use a small absolute tolerance.
+# so h_factorial's "is t/h + 1 an integer" decisions use a small absolute
+# tolerance.  Gamma itself has poles only at exact nonpositive integers.
 INT_TOL = 1e-9
 
 
@@ -58,6 +59,11 @@ _LANCZOS_C = np.array(
 )
 _LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
+
+
+def _is_pole(x: float) -> bool:
+    """Gamma's poles: exact nonpositive integers, with no rounding snap."""
+    return x <= 0.0 and x == math.floor(x)
 
 
 def _nearest_int(x: float) -> tuple[bool, int]:
@@ -117,18 +123,17 @@ def log_gamma(x: float) -> float:
     formula is applied, and for negative non-integer x (where Gamma may be
     negative) the sign is reported separately by :func:`gamma_sign`.
 
-    Raises :class:`GammaPoleError` at nonpositive integers.
+    Raises :class:`GammaPoleError` at exact nonpositive integers only; next
+    to one the reflection keeps full relative accuracy.
     """
-    is_int, k = _nearest_int(x)
-    if is_int and k <= 0:
+    if _is_pole(x):
         raise GammaPoleError(f"gamma pole at x = {x!r}")
     return float(_log_abs_gamma(x))
 
 
 def gamma_sign(x: float) -> float:
-    """Sign (+1.0 or -1.0) of Gamma(x); raises at nonpositive integers."""
-    is_int, k = _nearest_int(x)
-    if is_int and k <= 0:
+    """Sign (+1.0 or -1.0) of Gamma(x); raises at exact nonpositive integers."""
+    if _is_pole(x):
         raise GammaPoleError(f"gamma pole at x = {x!r}")
     return float(_sign_gamma(x))
 
@@ -147,7 +152,7 @@ def reciprocal_gamma(x: float) -> float:
     the relative accuracy does not degrade however close x is to a pole,
     from either side.
     """
-    if x <= 0.0 and x == math.floor(x):
+    if _is_pole(x):
         return 0.0
     return float(_sign_gamma(x)) * math.exp(-float(_log_abs_gamma(x)))
 

@@ -204,6 +204,10 @@ class TestValidationAndFailure:
         with pytest.raises(EquilibriumError):
             scalar_system(OperatorKind.CAPUTO, 0.5, lambda t, x: x + 1.0)
 
+    def test_non_finite_equilibrium_rejected(self):
+        with pytest.raises(EquilibriumError):
+            scalar_system(OperatorKind.CAPUTO, 0.5, lambda t, x: x + np.nan)
+
     def test_kind_mismatch(self):
         sys = scalar_system(OperatorKind.CAPUTO, 0.5, lambda t, x: -x)
         with pytest.raises(ValueError):
@@ -226,6 +230,76 @@ class TestValidationAndFailure:
                 dim=2, kind=OperatorKind.CAPUTO, nu=0.5, a=0.0, h=1.0,
                 x0=np.array([1.0]), rhs=lambda t, x: -x,
             )
+
+
+class TestImplicitStep:
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("c", [1e3, 1e6])
+    def test_stiff_scalar_linear(self, kind, c):
+        # Fixed-point iteration diverged here before Newton began, and the
+        # absolute finite-difference step then gave a zero Jacobian.
+        sys = SystemDef(1, kind, 0.5, 0.0, 1.0, [1.0], lambda t, x: -c * x)
+        assert residual_check(solve(sys, 50)) <= 1e-8
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_stiff_non_normal_pair(self, kind):
+        a = np.array([[-1e3, 1e5], [0.0, -10.0]])
+        sys = SystemDef(2, kind, 0.5, 0.0, 1.0, [1.0, 1.0], lambda t, x: a @ x)
+        traj = solve(sys, 200)
+        assert residual_check(traj) <= 1e-8
+        # The recursion is linear, so each step is one linear solve.
+        w = binomial_weights(0.5, 200)
+        expected = np.empty((201, 2))
+        expected[0] = sys.x0
+        for n in range(1, 201):
+            base = sys.x0 if kind is OperatorKind.CAPUTO else w[n] * sys.x0
+            known = base + sum(w[n - 1 - s] * (a @ expected[s + 1]) for s in range(n - 1))
+            expected[n] = np.linalg.solve(np.eye(2) - a, known)
+        np.testing.assert_allclose(traj.states.values, expected, rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize("key", ["ex5.1", "scalar"])
+    def test_linear_rhs_one_iteration_per_step(self, key):
+        # The iteration matrix carries over, so a linear rhs is solved by
+        # one iterate on every step after the one that builds the matrix.
+        if key == "scalar":
+            sys = scalar_system(OperatorKind.RIEMANN_LIOUVILLE, 0.5, lambda t, x: -x)
+        else:
+            sys = get_builtin(key).system
+        traj = solve(sys, 2000)
+        assert [rec.iterations for rec in traj.steps[1:]] == [1] * 1999
+
+    # States of the fixed-point/Newton stepper that preceded chord Newton.
+    REFERENCE_ROWS = {
+        "ex5.1": {10: [0.01761970520018681, 0.0352394104003785],
+                  100: [0.005634847900925483, 0.011269695801850691],
+                  2000: [0.0012614874155835315, 0.0025229748311671597]},
+        "ex5.2": {10: [0.017619705200195315, 0.035173788774497165],
+                  100: [0.005634847900925644, 0.011247692878907084],
+                  2000: [0.0012614874155835332, 0.002518023934336732]},
+        "ex5.3": {10: [0.2952333743727073, -0.03892970832602603],
+                  100: [0.22847074514288082, -0.038929318592627216],
+                  2000: [0.1522605477672189, -0.020497896653132907]},
+        "ex5.4": {10: [0.006361913475568683, 0.032363306209868874],
+                  100: [0.00022139595973322173, 0.010430339529036358],
+                  2000: [2.5014977311728845e-06, 0.002336854870779718]},
+    }
+
+    @pytest.mark.parametrize("key", sorted(REFERENCE_ROWS))
+    def test_examples_match_reference_rows(self, key):
+        traj = solve(get_builtin(key).system, 2000)
+        for n, row in self.REFERENCE_ROWS[key].items():
+            assert np.max(np.abs(traj.state(n) - row)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_named(self, bad):
+        def rhs(t, x):
+            return -x if t < 2.0 else np.where(x == 0.0, 0.0, bad)
+
+        sys = scalar_system(OperatorKind.CAPUTO, 0.5, rhs)
+        message = r"non-finite value .* at step 3 \(t = 2\.5\)"
+        with pytest.raises(SolverDivergenceError, match=message) as err:
+            solve(sys, 10)
+        assert err.value.step == 3
 
 
 class TestStepCsv:

@@ -50,6 +50,14 @@ class TestLogGamma:
         with pytest.raises(GammaPoleError):
             gamma_sign(x)
 
+    @pytest.mark.parametrize("x", [-1.0 + 1e-10, 1e-13, -1e-13, -3.0 + 1e-9, -3.0 - 1e-9])
+    def test_finite_next_to_poles(self, x):
+        # Gamma is finite off the exact integers; these once raised as poles.
+        ref = mpmath.gamma(mpmath.mpf(x))
+        assert gamma(x) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+        assert log_gamma(x) == pytest.approx(float(mpmath.log(abs(ref))), rel=1e-14)
+        assert gamma_sign(x) == math.copysign(1.0, float(ref))
+
     def test_gamma_convenience(self):
         assert gamma(0.5) ** 2 == pytest.approx(math.pi, rel=1e-13)
         assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
