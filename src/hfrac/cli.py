@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -127,9 +135,9 @@ def _add_system_args(parser, with_overrides=True):
     group.add_argument("--system", choices=sorted(BUILTIN_SYSTEMS), help="built-in system id")
     group.add_argument("--file", help="system definition file")
     if with_overrides:
-        parser.add_argument("--nu", type=float, help="override the fractional order")
-        parser.add_argument("--h", type=float, help="override the step")
-        parser.add_argument("--a", type=float, help="override the origin")
+        parser.add_argument("--nu", type=_finite_float, help="override the fractional order")
+        parser.add_argument("--h", type=_finite_float, help="override the step")
+        parser.add_argument("--a", type=_finite_float, help="override the origin")
 
 
 def _cmd_simulate(args) -> int:
@@ -261,20 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=40)
     p.add_argument("--out", default="trajectory.csv")
     p.add_argument("--svg", help="also write a polyline SVG plot")
-    p.add_argument("--tol", type=float, default=1e-12, help="implicit step residual tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-12,
+                   help="implicit step residual tolerance")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("props", help="run the randomized operator-inequality suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=200)
-    p.add_argument("--tol", type=float, default=MARGIN_SLACK)
+    p.add_argument("--tol", type=_finite_float, default=MARGIN_SLACK)
     p.set_defaults(func=_cmd_props)
 
     p = sub.add_parser("certify", help="sample a sufficient stability condition")
     _add_system_args(p)
     p.add_argument("--trials", type=_positive_int, default=10_000, help="lattice sample count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=MARGIN_SLACK, help="verdict slack")
+    p.add_argument("--tol", type=_finite_float, default=MARGIN_SLACK, help="verdict slack")
     p.add_argument("--out", help="write the report text (plus a .margins.csv sidecar)")
     p.set_defaults(func=_cmd_certify)
 

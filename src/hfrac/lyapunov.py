@@ -467,6 +467,8 @@ def certify_theorem(
     negativity at every nonzero sample and a confirming trajectory whose
     final norm drops below 1e-2 of the initial norm.
     """
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise ValueError(f"slack must be finite and >= 0, got slack = {slack!r}")
     sampler = LatticeSampler() if sampler is None else sampler
     if isinstance(condition, QuadraticCondition) and condition.matrix.shape[0] != sys.dim:
         raise ValueError("condition matrix dimension does not match the system")

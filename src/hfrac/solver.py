@@ -102,11 +102,15 @@ class SystemDef:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"order must lie in (0, 1], got nu = {self.nu!r}")
-        if self.h <= 0.0:
-            raise ValueError(f"step must be positive, got h = {self.h!r}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"origin must be finite, got a = {self.a!r}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"step must be finite and positive, got h = {self.h!r}")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 must have length {self.dim}, got {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 must be finite, got x0 = {x0}")
         object.__setattr__(self, "x0", x0)
         zero = np.zeros(self.dim)
         for t in (self.shifted_time(0), self.shifted_time(7)):
@@ -233,6 +237,8 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     """March the convolution-quadrature recursion n_steps points forward."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got tol = {tol!r}")
     weights = binomial_weights(sys.nu, max(n_steps, 1))
     # Reversed once, so each step's history sum is a contiguous dot product:
     # rev[n_steps-n+1 : n_steps] = weights[n-1], ..., weights[1].

@@ -160,6 +160,55 @@ class TestReproduce:
         assert target.is_dir()
 
 
+class TestNonFiniteParameters:
+    """A non-finite or out-of-range parameter is a usage error, never an answer."""
+
+    @pytest.mark.parametrize("option,value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
+        ("--nu", "nan"), ("--h", "inf"), ("--h", "nan"), ("--a", "nan"), ("--a", "-inf"),
+    ])
+    def test_simulate(self, tmp_path, capsys, option, value):
+        out = tmp_path / "t.csv"
+        # option=value, so that argparse cannot read "-inf" as an option.
+        code = main(["simulate", "--system", "ex5.1", "--steps", "8",
+                     "--out", str(out), f"{option}={value}"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("option,value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--a", "inf"),
+    ])
+    def test_certify(self, tmp_path, capsys, option, value):
+        # --tol nan once certified this antistable system with exit 0.
+        path = tmp_path / "f.txt"
+        path.write_text(ANTISTABLE_FILE)
+        code = main(["certify", "--file", str(path), "--trials", "50", f"{option}={value}"])
+        assert code == EXIT_USAGE
+        assert "verdict" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_props(self, capsys, value):
+        assert main(["props", "--trials", "1", "--tol", value]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("line", ["a=nan", "h=inf", "x0=0.3,nan"])
+    def test_definition_file(self, tmp_path, capsys, line):
+        # a=nan once wrote an all-NaN t column and exited 0.
+        key = line.split("=")[0]
+        text = "\n".join(
+            line if row.startswith(key + "=") else row
+            for row in ZERO_RHS_FILE.strip().splitlines()
+        )
+        path = tmp_path / "f.txt"
+        path.write_text(text + "\n")
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--file", str(path), "--steps", "8", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_USAGE

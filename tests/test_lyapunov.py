@@ -242,6 +242,14 @@ class TestCertificates:
         with pytest.raises(ValueError):
             certify_theorem(sys, QuadraticCondition(np.eye(3)), LatticeSampler(count=10))
 
+    @pytest.mark.parametrize("slack", [np.nan, np.inf, -1.0])
+    def test_invalid_slack_rejected(self, slack):
+        # slack = nan once certified an antistable system.
+        sys = SystemDef(1, OperatorKind.CAPUTO, 0.5, 0.0, 1.0, [0.1], lambda t, x: x)
+        with pytest.raises(ValueError, match="slack"):
+            certify_theorem(sys, QuadraticCondition(np.eye(1)), LatticeSampler(count=10),
+                            slack=slack)
+
     def test_power_condition_validation(self):
         with pytest.raises(ValueError):
             PowerCondition(2)

@@ -23,7 +23,7 @@ from hfrac import (
     summation_by_parts_residual,
     write_grid_csv,
 )
-from hfrac.operators import _FFT_MIN, _convolve_direct
+from hfrac.operators import _BLOCK_MAX, _FFT_MIN, _convolve_direct, _kernel
 
 NU_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -190,6 +190,30 @@ class TestDefinitionalEquivalence:
                 caputo_difference(f, nu).values,
                 rel=1e-12,
             )
+
+
+class TestDirectConvolution:
+    """The oracles' direct sum, blocked from _FFT_MIN points on, against np.convolve."""
+
+    @pytest.mark.parametrize("n", [
+        _FFT_MIN - 1, _FFT_MIN, _FFT_MIN + 1,
+        17 * _BLOCK_MAX - 1, 17 * _BLOCK_MAX, 17 * _BLOCK_MAX + 1, 4099, 20000,
+    ])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("oracle_kernel", [True, False], ids=["rl-oracle", "binomial"])
+    def test_matches_np_convolve_elementwise(self, n, dim, oracle_kernel):
+        h, nu = 0.5, 0.3
+        # The RL oracle's gamma-ratio kernel has negative entries.
+        kernel = _kernel(-nu, -nu - 1.0, h, n) if oracle_kernel else binomial_weights(nu, n - 1)
+        t = h * np.arange(n)
+        rng = np.random.default_rng(n + dim)
+        for values in (rng.uniform(-1.0, 1.0, (n, dim)), np.tile(t[:, None] ** 2, (1, dim))):
+            actual = _convolve_direct(kernel, values)
+            assert actual.shape == values.shape
+            for j in range(dim):
+                ref = np.convolve(kernel, values[:, j])[:n]
+                scale = np.convolve(np.abs(kernel), np.abs(values[:, j]))[:n]
+                assert np.all(np.abs(actual[:, j] - ref) <= 1e-13 * scale)
 
 
 def _direct_sum(values: np.ndarray, nu: float, h: float) -> np.ndarray:

@@ -45,6 +45,17 @@ def scalar_system(kind, nu, fn, x0=1.0, h=1.0, a=0.0):
     )
 
 
+def tampered(traj, index):
+    """The trajectory with 0.1 added to the first component of state `index`."""
+    values = traj.states.values.copy()
+    values[index, 0] += 0.1
+    return type(traj)(
+        system=traj.system,
+        states=GridFunction(traj.states.grid, values),
+        steps=traj.steps,
+    )
+
+
 class TestFirstSteps:
     def test_linear_first_step(self):
         # componentwise x1 = x0 - x1, solved by hand
@@ -108,15 +119,16 @@ class TestResidualCheck:
         assert residual_check(traj) <= 1e-14
 
     def test_perturbation_detected(self):
-        traj = solve(get_builtin("ex5.1").system, 16)
-        values = traj.states.values.copy()
-        values[8, 0] += 0.1
-        tampered = type(traj)(
-            system=traj.system,
-            states=GridFunction(traj.states.grid, values),
-            steps=traj.steps,
-        )
-        assert residual_check(tampered) > 1e-3
+        assert residual_check(tampered(solve(get_builtin("ex5.1").system, 16), 8)) > 1e-3
+
+    # 3000 states reach the oracles' blocked direct sum (from _FFT_MIN points on).
+    @pytest.mark.parametrize("key", ["ex5.1", "ex5.2"])
+    def test_long_examples_within_tolerance(self, key):
+        assert residual_check(solve(get_builtin(key).system, 3000)) <= 1e-8
+
+    def test_long_perturbation_detected(self):
+        traj = solve(get_builtin("ex5.1").system, 3000)
+        assert residual_check(tampered(traj, 2500)) > 1e-3
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
     @pytest.mark.parametrize("nu", [1.0 - 1e-8, 1.0 - 1e-10])
@@ -230,6 +242,22 @@ class TestValidationAndFailure:
                 dim=2, kind=OperatorKind.CAPUTO, nu=0.5, a=0.0, h=1.0,
                 x0=np.array([1.0]), rhs=lambda t, x: -x,
             )
+
+    @pytest.mark.parametrize("field", ["a", "h", "x0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # a = nan once gave an all-NaN time column and a "solved" trajectory.
+        params = {"a": 0.0, "h": 1.0, "x0": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"got {field} = "):
+            scalar_system(OperatorKind.CAPUTO, 0.5, lambda t, x: -x, **params)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_invalid_tolerance_rejected(self, tol):
+        # tol = nan once returned x0 unchanged at every step; tol = -1
+        # reported a divergence at step 1.
+        sys = scalar_system(OperatorKind.CAPUTO, 0.5, lambda t, x: -x)
+        with pytest.raises(ValueError, match="tol"):
+            solve(sys, 4, tol)
 
 
 class TestImplicitStep:
