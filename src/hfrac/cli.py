@@ -51,6 +51,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _slack(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _svg_polyline(path, t, series, title: str) -> None:
     """Minimal polyline SVG: one curve per (label, values) pair, labeled axes."""
     width, height = 640, 480
@@ -276,14 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="run the randomized operator-inequality suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=200)
-    p.add_argument("--tol", type=_finite_float, default=MARGIN_SLACK)
+    p.add_argument("--tol", type=_slack, default=MARGIN_SLACK,
+                   help="slack: a suite passes if its worst margin is >= -tol")
     p.set_defaults(func=_cmd_props)
 
     p = sub.add_parser("certify", help="sample a sufficient stability condition")
     _add_system_args(p)
     p.add_argument("--trials", type=_positive_int, default=10_000, help="lattice sample count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_finite_float, default=MARGIN_SLACK, help="verdict slack")
+    p.add_argument("--tol", type=_slack, default=MARGIN_SLACK, help="verdict slack")
     p.add_argument("--out", help="write the report text (plus a .margins.csv sidecar)")
     p.set_defaults(func=_cmd_certify)
 

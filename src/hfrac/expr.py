@@ -25,6 +25,8 @@ A system definition file is plain text:
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -46,6 +48,8 @@ __all__ = [
     "evaluate",
     "to_source",
     "uses_time",
+    "compile_rhs",
+    "build_system",
     "parse_system_source",
     "load_system_file",
 ]
@@ -299,11 +303,126 @@ def uses_time(e: Expr) -> bool:
     return False
 
 
-def _compiled_rhs(exprs: tuple[Expr, ...]):
-    def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        return np.array([_eval(e, t, np.asarray(x, dtype=float)) for e in exprs])
+def _div(left: float, right: float) -> float:
+    if right == 0.0:
+        raise ExprEvalError("division by zero")
+    return left / right
 
+
+def _div_batch(left, right):
+    if np.any(right == 0.0):
+        raise ExprEvalError("division by zero")
+    return left / right
+
+
+def _pow_batch(base, exponent: float):
+    # np.float_power is libm pow, as Python's float ** int; numpy's array
+    # ** takes a SIMD route that differs in the last bit for some values.
+    out = np.float_power(base, exponent)
+    inf = np.isinf(out)
+    if np.any(inf) and np.any(inf & np.isfinite(base)):
+        raise OverflowError("numerical result out of range")  # as float ** int
+    return out
+
+
+class _Emitter:
+    """Straight-line code for expressions over t and x0..x<n-1>.
+
+    One assignment per operation node, so no expression nests, in the order
+    `_eval` performs the operations.  The text holds only float and int
+    literals, the names t, x<i> and v<k>, fixed operator tokens and the
+    helper names: nothing is copied from the definition source.
+    """
+
+    _OPS = {"+": "+", "-": "-", "*": "*"}  # only these tokens reach the text
+
+    def __init__(self, batch: bool):
+        self.batch = batch
+        self.lines: list[str] = []
+
+    def _assign(self, text: str) -> str:
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"    {name} = {text}")
+        return name
+
+    def value(self, e: Expr) -> str:
+        if isinstance(e, Num):
+            v = float(e.value)
+            if not math.isfinite(v):
+                return f"float({repr(v)!r})"
+            return f"({v!r})" if math.copysign(1.0, v) < 0.0 else repr(v)
+        if isinstance(e, Var):
+            return "t" if e.index is None else f"x{operator.index(e.index)}"
+        if isinstance(e, Neg):
+            return self._assign(f"-{self.value(e.operand)}")
+        if isinstance(e, Pow):
+            base, k = self.value(e.base), operator.index(e.exponent)
+            if self.batch:
+                return self._assign(f"_pow({base}, {float(k)!r})")
+            return self._assign(f"{base} ** {k!r}")
+        if isinstance(e, BinOp):
+            left, right = self.value(e.left), self.value(e.right)
+            if e.op == "/":
+                return self._assign(f"_div({left}, {right})")
+            return self._assign(f"{left} {self._OPS[e.op]} {right}")
+        raise TypeError(f"not an expression node: {e!r}")
+
+
+def _generate(exprs: tuple[Expr, ...], dim: int, batch: bool):
+    em = _Emitter(batch)
+    outs = [em.value(e) for e in exprs]
+    names = "".join(f"x{i}, " for i in range(operator.index(dim)))
+    if batch:
+        head = ["def f(t, x):", f"    {names}= x.T.copy()"]
+        tail = [f"    out = np.empty((x.shape[0], {len(exprs)}))"]
+        tail += [f"    out[:, {i}] = {v}" for i, v in enumerate(outs)]
+        tail.append("    return out")
+    else:
+        head = ["def f(t, x):", f"    {names}= np.asarray(x, dtype=float).tolist()"]
+        tail = [f"    return np.array([{', '.join(outs)}])"]
+    namespace = {"np": np, "_div": _div_batch if batch else _div, "_pow": _pow_batch}
+    exec(compile("\n".join(head + em.lines + tail) + "\n", "<hfrac.expr>", "exec"), namespace)
+    return namespace["f"]
+
+
+def compile_rhs(exprs: tuple[Expr, ...], dim: int):
+    """Compile f = (exprs) over t and x1..x<dim> once into generated code.
+
+    Returns the scalar form rhs(t, x) -> (len(exprs),), which performs the
+    same IEEE operations in the same order as :func:`evaluate` and so agrees
+    with it bit for bit.  Its attribute ``batch(t, points)`` maps points
+    (B, dim) to (B, len(exprs)), with `t` one time or one per point.  It
+    agrees with the scalar form bit for bit too, and raises the same errors
+    on a zero denominator (:class:`ExprEvalError`) or an overflowing power
+    (``OverflowError``).
+    """
+    exprs = tuple(exprs)
+    rhs = _generate(exprs, dim, batch=False)
+    batch = _generate(exprs, dim, batch=True)
+
+    def rhs_batch(t, points) -> np.ndarray:
+        with np.errstate(all="ignore"):  # the scalar form's float ops warn of nothing
+            return batch(t, np.asarray(points, dtype=float))
+
+    rhs.batch = rhs_batch
     return rhs
+
+
+def build_system(kind: OperatorKind, nu: float, a: float, h: float, x0,
+                 sources) -> SystemDef:
+    """A system whose f_i are expression sources over t and x1..x<len(x0)>."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    exprs = tuple(parse(src, len(x0)) for src in sources)
+    return SystemDef(
+        dim=len(x0),
+        kind=kind,
+        nu=nu,
+        a=a,
+        h=h,
+        x0=x0,
+        rhs=compile_rhs(exprs, len(x0)),
+        time_dependent=any(uses_time(e) for e in exprs),
+    )
 
 
 def parse_system_source(text: str) -> tuple[SystemDef, tuple[str, ...]]:
@@ -343,17 +462,8 @@ def parse_system_source(text: str) -> tuple[SystemDef, tuple[str, ...]]:
         raise ValueError(f"component lines beyond dimension {dim}: f{extra[0]}")
 
     sources = tuple(components[i] for i in range(1, dim + 1))
-    exprs = tuple(parse(src, dim) for src in sources)
-    system = SystemDef(
-        dim=dim,
-        kind=kind,
-        nu=float(headers["nu"]),
-        a=float(headers["a"]),
-        h=float(headers["h"]),
-        x0=x0,
-        rhs=_compiled_rhs(exprs),
-        time_dependent=any(uses_time(e) for e in exprs),
-    )
+    system = build_system(kind, float(headers["nu"]), float(headers["a"]),
+                          float(headers["h"]), x0, sources)
     return system, sources
 
 

@@ -385,6 +385,8 @@ class LatticeSampler:
             raise ValueError(f"need at least one sample, got {self.count}")
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
+        if self.time_points < 1:
+            raise ValueError(f"need at least one time point, got {self.time_points}")
 
 
 @dataclass
@@ -436,19 +438,25 @@ class CertificateReport:
 def _condition_values(
     sys: SystemDef, condition, points: np.ndarray, times
 ) -> np.ndarray:
-    values = np.full(len(points), -math.inf)
+    """The condition value at each point, maximised over `times` as Python's
+    max() would, except that a NaN at any time stays NaN; one batch rhs call
+    per time."""
     if isinstance(condition, QuadraticCondition):
         p = condition.matrix
-        for i, x in enumerate(points):
-            values[i] = max(float(x @ (p @ sys.eval_rhs(t, x))) for t in times)
+
+        def value(f):  # stacked 1xd @ dxd @ dx1: bitwise the per-point x @ (P @ f)
+            return np.matmul(points[:, None, :], np.matmul(p, f[:, :, None]))[:, 0, 0]
     elif isinstance(condition, PowerCondition):
-        e = condition.power - 1
-        for i, x in enumerate(points):
-            values[i] = max(
-                float(np.max(x**e * sys.eval_rhs(t, x))) for t in times
-            )
+        weight = points ** (condition.power - 1)
+
+        def value(f):
+            return np.max(weight * f, axis=1)
     else:
         raise TypeError(f"unsupported condition {condition!r}")
+    values = None
+    for t in times:
+        v = value(sys.eval_rhs_batch(t, points))
+        values = v if values is None else np.where((v > values) | np.isnan(v), v, values)
     return values
 
 
@@ -483,7 +491,10 @@ def certify_theorem(
     times = [sys.shifted_time(s) for s in range(n_times)]
 
     margins = _condition_values(sys, condition, points, times)
-    worst_idx = int(np.argmax(margins))
+    # A non-finite value is a violation (NaN compares false with any slack);
+    # the worst point is then the first such sample.
+    finite = np.isfinite(margins)
+    worst_idx = int(np.argmin(finite) if not finite.all() else np.argmax(margins))
     worst = float(margins[worst_idx])
 
     condition_id = f"{sys.kind.value}-{condition.ident}"
@@ -492,7 +503,7 @@ def certify_theorem(
         f"({sampler.count} lattice points, seed {sampler.seed}); not exhaustive"
     )
 
-    if worst > slack:
+    if not finite.all() or worst > slack:
         verdict = "inconclusive"
     else:
         verdict = "stable-certified"

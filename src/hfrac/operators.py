@@ -39,6 +39,7 @@ O(n^2) and built apart from the production route's blocks.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,8 +83,10 @@ class HGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError(f"step must be positive, got h = {self.h!r}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"origin must be finite, got a = {self.a!r}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"step must be finite and positive, got h = {self.h!r}")
         if self.n_points < 1:
             raise ValueError(f"need at least one point, got {self.n_points}")
 

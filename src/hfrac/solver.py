@@ -120,9 +120,31 @@ class SystemDef:
                     f"rhs(t, 0) = {fz} at t = {t}; the origin must be an equilibrium"
                 )
 
-    def shifted_time(self, s: int) -> float:
-        """The s-th point of the displaced scale, a + (1-nu)h + s*h."""
+    def shifted_time(self, s):
+        """The s-th point of the displaced scale, a + (1-nu)h + s*h (elementwise
+        for an integer array s)."""
         return self.a + (1.0 - self.nu) * self.h + s * self.h
+
+    def eval_rhs_batch(self, t, points: np.ndarray) -> np.ndarray:
+        """f at the rows of `points` (B, dim) as a (B, dim) array; `t` is one
+        time or one per point.
+
+        An rhs with a ``batch`` attribute (expression and built-in systems,
+        see ``hfrac.expr.compile_rhs``) is called once; any other callable
+        is evaluated point by point through :meth:`eval_rhs`.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(f"points must have shape (B, {self.dim}), got {points.shape}")
+        batch = getattr(self.rhs, "batch", None)
+        if batch is not None:
+            out = batch(t, points)
+            if out.shape != points.shape:
+                raise ValueError(f"rhs batch returned shape {out.shape}, expected {points.shape}")
+            return out
+        times = np.broadcast_to(t, len(points)).tolist()
+        out = [self.eval_rhs(tk, x) for tk, x in zip(times, points)]
+        return np.array(out).reshape(len(points), self.dim)
 
     def eval_rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         out = np.asarray(self.rhs(t, x), dtype=float).reshape(-1)
@@ -289,9 +311,8 @@ def residual_check(traj: Trajectory) -> float:
         return 0.0
     op = caputo_difference_direct if sys.kind is OperatorKind.CAPUTO else rl_difference_direct
     g = op(traj.states, sys.nu)
-    rhs = np.empty_like(g.values)
-    for k in range(g.n_points):
-        rhs[k] = sys.eval_rhs(sys.shifted_time(k), traj.states.values[k + 1])
+    times = sys.shifted_time(np.arange(g.n_points))
+    rhs = sys.eval_rhs_batch(times, traj.states.values[1:])
     return float(np.max(np.abs(g.values - rhs)))
 
 

@@ -1,10 +1,10 @@
 """Built-in demonstration systems ex5.1 to ex5.4.
 
 Four small stable systems at nu = 0.5, a = 0, h = 1, each paired with the
-stability condition that certifies it.  Every right-hand side exists twice:
-as a hard-coded callable (used by the solver) and as expression-language
-source (used by the definition-file round trip); the two must evaluate
-bit-identically.
+stability condition that certifies it.  Each right-hand side is written once,
+as expression-language source, and compiled by ``hfrac.expr.build_system``
+like a definition file's, so a built-in and its definition-file round trip
+evaluate bit-identically, one point at a time or in batches.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import build_system
 from .lyapunov import PowerCondition, QuadraticCondition
 from .solver import OperatorKind, SystemDef
 
@@ -28,100 +29,43 @@ class BuiltinSystem:
     condition: QuadraticCondition | PowerCondition
 
 
-def _ex51() -> BuiltinSystem:
-    def rhs(t, x):
-        return np.array([-x[0], -x[1]])
-
-    system = SystemDef(
-        dim=2,
-        kind=OperatorKind.CAPUTO,
-        nu=0.5,
-        a=0.0,
-        h=1.0,
-        x0=np.array([0.1, 0.2]),
-        rhs=rhs,
-    )
-    return BuiltinSystem(
-        key="ex5.1",
-        description="Caputo linear decay, certified by the quadratic condition "
-        "with the all-ones weight matrix",
-        system=system,
-        sources=("-x1", "-x2"),
-        condition=QuadraticCondition(np.array([[1.0, 1.0], [1.0, 1.0]]) + 0.0),
-    )
-
-
-def _ex52() -> BuiltinSystem:
-    def rhs(t, x):
-        return np.array([-0.5 * x[1] ** 16 * x[0], -0.5 * x[0] ** 2 * x[1]])
-
-    system = SystemDef(
-        dim=2,
-        kind=OperatorKind.RIEMANN_LIOUVILLE,
-        nu=0.5,
-        a=0.0,
-        h=1.0,
-        x0=np.array([0.1, 0.2]),
-        rhs=rhs,
-    )
-    return BuiltinSystem(
-        key="ex5.2",
-        description="Riemann-Liouville coupled polynomial decay, certified by "
-        "the quadratic condition with the identity weight",
-        system=system,
-        sources=("-0.5*x2^16*x1", "-0.5*x1^2*x2"),
-        condition=QuadraticCondition(np.eye(2)),
-    )
-
-
-def _ex53() -> BuiltinSystem:
-    def rhs(t, x):
-        return np.array([-(x[0] ** 3), -(x[0] ** 2) - x[1]])
-
-    system = SystemDef(
-        dim=2,
-        kind=OperatorKind.CAPUTO,
-        nu=0.5,
-        a=0.0,
-        h=1.0,
-        x0=np.array([0.4, 0.2]),
-        rhs=rhs,
-    )
-    return BuiltinSystem(
-        key="ex5.3",
-        description="Caputo cubic decay with one-way coupling, certified by "
-        "the componentwise cubic-power condition on the nonnegative orthant",
-        system=system,
-        sources=("-x1^3", "-x1^2-x2"),
-        condition=PowerCondition(3),
-    )
-
-
-def _ex54() -> BuiltinSystem:
-    def rhs(t, x):
-        return np.array([(-x[0]) - x[1] ** 3, -(x[0] ** 2)])
-
-    system = SystemDef(
-        dim=2,
-        kind=OperatorKind.RIEMANN_LIOUVILLE,
-        nu=0.5,
-        a=0.0,
-        h=1.0,
-        x0=np.array([0.4, 0.2]),
-        rhs=rhs,
-    )
-    return BuiltinSystem(
-        key="ex5.4",
-        description="Riemann-Liouville mixed polynomial system, certified by "
-        "the componentwise cubic-power condition on the nonnegative orthant",
-        system=system,
-        sources=("-x1-x2^3", "-x1^2"),
-        condition=PowerCondition(3),
-    )
+def _builtin(key, description, kind, x0, sources, condition) -> BuiltinSystem:
+    system = build_system(kind, 0.5, 0.0, 1.0, x0, sources)
+    return BuiltinSystem(key, description, system, sources, condition)
 
 
 BUILTIN_SYSTEMS: dict[str, BuiltinSystem] = {
-    b.key: b for b in (_ex51(), _ex52(), _ex53(), _ex54())
+    b.key: b
+    for b in (
+        _builtin(
+            "ex5.1",
+            "Caputo linear decay, certified by the quadratic condition "
+            "with the all-ones weight matrix",
+            OperatorKind.CAPUTO, (0.1, 0.2), ("-x1", "-x2"),
+            QuadraticCondition(np.ones((2, 2))),
+        ),
+        _builtin(
+            "ex5.2",
+            "Riemann-Liouville coupled polynomial decay, certified by "
+            "the quadratic condition with the identity weight",
+            OperatorKind.RIEMANN_LIOUVILLE, (0.1, 0.2), ("-0.5*x2^16*x1", "-0.5*x1^2*x2"),
+            QuadraticCondition(np.eye(2)),
+        ),
+        _builtin(
+            "ex5.3",
+            "Caputo cubic decay with one-way coupling, certified by "
+            "the componentwise cubic-power condition on the nonnegative orthant",
+            OperatorKind.CAPUTO, (0.4, 0.2), ("-x1^3", "-x1^2-x2"),
+            PowerCondition(3),
+        ),
+        _builtin(
+            "ex5.4",
+            "Riemann-Liouville mixed polynomial system, certified by "
+            "the componentwise cubic-power condition on the nonnegative orthant",
+            OperatorKind.RIEMANN_LIOUVILLE, (0.4, 0.2), ("-x1-x2^3", "-x1^2"),
+            PowerCondition(3),
+        ),
+    )
 }
 
 

@@ -134,6 +134,20 @@ class TestCertify:
         assert code == EXIT_OK
 
 
+class TestNonFiniteCondition:
+    def test_nan_condition_is_not_certified(self, tmp_path, capsys):
+        # f1 is x1 (unstable), but every nonzero sample evaluates to inf - inf,
+        # a NaN, which once compared false with the slack and certified.
+        path = tmp_path / "f.txt"
+        path.write_text(ANTISTABLE_FILE.replace(
+            "f1=x1", "f1=x1 + x1*x1*1e300*1e300 - x1*x1*1e300*1e300"))
+        code = main(["certify", "--file", str(path), "--trials", "200"])
+        out = capsys.readouterr().out
+        assert code == EXIT_FAIL
+        assert "verdict=inconclusive" in out
+        assert "worst_margin=nan" in out
+
+
 class TestReproduce:
     def test_outputs_and_byte_stability(self, tmp_path, capsys):
         out1 = tmp_path / "run1"
@@ -154,10 +168,36 @@ class TestReproduce:
             h2 = hashlib.sha256((out2 / name).read_bytes()).hexdigest()
             assert h1 == h2, name
 
+    def test_outputs_pinned(self, tmp_path, capsys):
+        # SHA-256 of every `reproduce --steps 40` output, computed before the
+        # built-ins were generated from their sources (on x86-64 Linux,
+        # numpy 2.4).  A change here changes a published trajectory.
+        assert main(["reproduce", "--out", str(tmp_path), "--steps", "40"]) == EXIT_OK
+        capsys.readouterr()
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(tmp_path.iterdir())}
+        assert digests == REPRODUCE_SHA256
+
     def test_creates_missing_directory(self, tmp_path):
         target = tmp_path / "does" / "not" / "exist"
         assert main(["reproduce", "--out", str(target), "--steps", "5"]) == EXIT_OK
         assert target.is_dir()
+
+
+REPRODUCE_SHA256 = {
+    "ex5_1.csv": "e940547e3b3fc832714edfdb68e58f7379adb83bef4eb4ad6ebb0340e0edc7a6",
+    "ex5_1_x1.svg": "e2ccf50de8633beaa43a76dea092e50f9d3077d2656bcbeb6f42644719969c2c",
+    "ex5_1_x2.svg": "75b25668cf0c27612b52fe3521808a2a83a0d17e293f3613d906c1f0404dd51c",
+    "ex5_2.csv": "cb8443fa8253168d157ba681b976b0748e832cd32ff54800d8dde79f75a27002",
+    "ex5_2_x1.svg": "217b4ddd207800e2ac28b088a6a94e27637eeab68365f404aaee632204bcb7b8",
+    "ex5_2_x2.svg": "d266c8d53df7d5bd774847fedc8e0e5b0c4dfe6ca9f15b6d9c361c5d67fb8c4d",
+    "ex5_3.csv": "626a09f7baa55798879b0b4a62eeddf17acdf2dd22776670732b1e11c39e5f6d",
+    "ex5_3_x1.svg": "7fbf858d65be75387996674e2094f13029f90ce0f5a6cae25ab07b5be0065612",
+    "ex5_3_x2.svg": "bd60f437bad81ca5b0b582a078f4d89251564bd5b7dc6cab964ab7d1676691bd",
+    "ex5_4.csv": "e0dc7b00c65b81a4e00af8ea18b957c539fbf2586e07227f613cf0ed1e9c7b3d",
+    "ex5_4_x1.svg": "a97f9e35d6a1c643e4d378a571faff74ddf1b09904e4541b3fbe1ddb55c4c365",
+    "ex5_4_x2.svg": "d94044af0dc90c7bd51702edbe93d6bace247d79aedb74e5ada6048a2a81650b",
+}
 
 
 class TestNonFiniteParameters:
@@ -187,9 +227,10 @@ class TestNonFiniteParameters:
         assert code == EXIT_USAGE
         assert "verdict" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_props(self, capsys, value):
-        assert main(["props", "--trials", "1", "--tol", value]) == EXIT_USAGE
+        # --tol=-1 once ran every suite, printed 16 FAILs and exited 1.
+        assert main(["props", "--trials", "1", f"--tol={value}"]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("line", ["a=nan", "h=inf", "x0=0.3,nan"])

@@ -1,5 +1,7 @@
 """Tests for the expression language and system definition files."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from hfrac import (
     solve,
     to_source,
 )
-from hfrac.expr import BinOp, Neg, Num, Pow, Var
+from hfrac.expr import BinOp, Neg, Num, Pow, Var, compile_rhs
 
 
 class TestParsing:
@@ -125,17 +127,96 @@ class TestRoundTrip:
             assert parse(to_source(tree), 2) == tree
 
 
+# The built-ins' right-hand sides written out by hand in numpy, as an oracle
+# independent of the expression compiler.
+HAND_WRITTEN = {
+    "ex5.1": lambda t, x: np.array([-x[0], -x[1]]),
+    "ex5.2": lambda t, x: np.array([-0.5 * x[1] ** 16 * x[0], -0.5 * x[0] ** 2 * x[1]]),
+    "ex5.3": lambda t, x: np.array([-(x[0] ** 3), -(x[0] ** 2) - x[1]]),
+    "ex5.4": lambda t, x: np.array([(-x[0]) - x[1] ** 3, -(x[0] ** 2)]),
+}
+
+
 class TestBuiltinParity:
     @pytest.mark.parametrize("key", sorted(BUILTIN_SYSTEMS))
     def test_expression_matches_hardcoded_bitwise(self, key):
         builtin = get_builtin(key)
         exprs = [parse(src, builtin.system.dim) for src in builtin.sources]
-        rng = np.random.default_rng(hash(key) % 2**32)
-        for _ in range(1000):
-            x = rng.uniform(-2.0, 2.0, size=builtin.system.dim)
-            hard = builtin.system.rhs(0.0, x)
+        rng = np.random.default_rng(sum(map(ord, key)))
+        points = rng.uniform(-2.0, 2.0, size=(1000, builtin.system.dim))
+        batch = builtin.system.rhs.batch(0.0, points)
+        for x, from_batch in zip(points, batch):
+            hard = HAND_WRITTEN[key](0.0, x)
             soft = np.array([evaluate(e, 0.0, x) for e in exprs])
             assert np.array_equal(hard, soft)
+            assert builtin.system.rhs(0.0, x).tobytes() == soft.tobytes()
+            assert from_batch.tobytes() == soft.tobytes()
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestCompiled:
+    """The compiled scalar and batch forms against the tree walk `evaluate`."""
+
+    @pytest.mark.parametrize("k", range(34))
+    def test_forms_match_tree_walk_bitwise(self, k):
+        sources = (
+            f"(x1 - 0.3*x2)^{k}*t - x3",
+            f"-x3^{k}/(1.5 + x1^2) + t^{min(k, 3)}",
+            "2.5",  # a constant component, which the batch form broadcasts
+            f"x2^{k} - (x1*x3)^{k}/(2 - t)",
+        )
+        exprs = tuple(parse(src, 3) for src in sources)
+        rhs = compile_rhs(exprs, 3)
+        rng = np.random.default_rng(k)
+        points = rng.uniform(-1.6, 1.6, size=(300, 3))
+        times = rng.uniform(-1.0, 1.9, size=300)
+        tree = np.array([[evaluate(e, t, x) for e in exprs] for t, x in zip(times, points)])
+        scalar = np.array([rhs(t, x) for t, x in zip(times, points)])
+        assert _bits(scalar) == _bits(tree)
+        assert _bits(rhs.batch(times, points)) == _bits(tree)
+        one_time = np.array([[evaluate(e, 0.7, x) for e in exprs] for x in points])
+        assert _bits(rhs.batch(0.7, points)) == _bits(one_time)
+
+    def test_non_finite_literal(self):
+        exprs = (parse("x1 + 1e999 - 1e999", 1), parse("1e999*0", 1))
+        rhs = compile_rhs(exprs, 1)
+        expected = [evaluate(e, 0.0, [0.5]) for e in exprs]
+        assert all(map(math.isnan, expected))
+        assert _bits(rhs(0.0, [0.5])) == _bits(expected)
+        assert _bits(rhs.batch(0.0, [[0.5]])[0]) == _bits(expected)
+
+    def test_batch_division_by_zero(self):
+        rhs = compile_rhs((parse("x1/(x2 - 1)", 2),), 2)
+        assert rhs.batch(0.0, [[1.0, 2.0], [3.0, 3.0]]).tolist() == [[1.0], [1.5]]
+        with pytest.raises(ExprEvalError):
+            rhs.batch(0.0, [[1.0, 2.0], [3.0, 1.0]])  # one zero denominator
+        with pytest.raises(ExprEvalError):
+            rhs(0.0, [3.0, 1.0])
+
+    def test_power_overflow_raises_in_both_forms(self):
+        # Python's float ** int raises OverflowError; the batch form follows it.
+        e = parse("(10*x1)^400", 1)
+        for run in (lambda: evaluate(e, 0.0, [1.0]),
+                    lambda: compile_rhs((e,), 1)(0.0, [1.0]),
+                    lambda: compile_rhs((e,), 1).batch(0.0, [[0.01], [1.0]])):
+            with pytest.raises(OverflowError):
+                run()
+
+    def test_deep_chain_compiles(self):
+        # One statement per operation: no nesting limit of Python's parser.
+        src = " + ".join(["x1"] * 400)
+        rhs = compile_rhs((parse(src, 1),), 1)
+        assert rhs(0.0, [0.5])[0] == evaluate(parse(src, 1), 0.0, [0.5]) == 200.0
+        assert rhs.batch(0.0, [[0.5]])[0, 0] == 200.0
+
+    def test_text_is_not_copied_from_the_tree(self):
+        with pytest.raises(KeyError):
+            compile_rhs((BinOp("+) or print(1) or (", Var("x1", 0), Num(1.0)),), 1)
+        with pytest.raises(TypeError):
+            compile_rhs((Pow(Var("x1", 0), "2; import os"),), 1)
 
 
 SYSTEM_SRC = """

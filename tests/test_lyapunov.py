@@ -1,9 +1,12 @@
 """Tests for diagonalization, inequality margins, and certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hfrac import (
+    BUILTIN_SYSTEMS,
     CertificateReport,
     GridFunction,
     HGrid,
@@ -19,6 +22,7 @@ from hfrac import (
     get_builtin,
     jacobi_diagonalize,
     lattice_points,
+    parse_system_source,
     power_inequality_margin,
     power_inequality_margins,
     power_margin_suite,
@@ -26,6 +30,7 @@ from hfrac import (
     quadratic_form_margins,
     quadratic_margin_suite,
     random_spd_matrix,
+    residual_check,
     solve,
 )
 
@@ -187,6 +192,11 @@ class TestLattice:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("field", ["count", "radius", "time_points"])
+    def test_sampler_validation(self, field):
+        with pytest.raises(ValueError):
+            LatticeSampler(**{field: 0})
+
 
 class TestCertificates:
     def test_linear_system_with_ones_weight(self):
@@ -216,6 +226,20 @@ class TestCertificates:
         report = certify_theorem(sys, QuadraticCondition(np.eye(1)), LatticeSampler(count=500))
         assert report.verdict == "inconclusive"
         assert not report.certified
+
+    def test_nan_sample_is_a_violation(self):
+        # Every other sample has condition value x^2 > 0; the NaNs once won
+        # argmax, compared false with the slack and certified the system.
+        sys = SystemDef(
+            dim=1, kind=OperatorKind.CAPUTO, nu=0.5, a=0.0, h=1.0, x0=np.array([0.1]),
+            rhs=lambda t, x: np.array([x[0] + (np.nan if abs(x[0]) > 0.9 else 0.0)]),
+        )
+        report = certify_theorem(sys, QuadraticCondition(np.eye(1)), LatticeSampler(count=500))
+        assert report.verdict == "inconclusive"
+        first = int(np.argmax(np.isnan(report.margins)))
+        assert np.isnan(report.worst_margin)
+        np.testing.assert_array_equal(report.worst_point, report.points[first])
+        assert abs(report.worst_point[0]) > 0.9
 
     def test_asymptotic_upgrade(self):
         sys = SystemDef(
@@ -257,6 +281,62 @@ class TestCertificates:
             PowerCondition(6)
         assert PowerCondition(3).orthant_only
         assert not PowerCondition(4).orthant_only
+
+
+def _per_point(sys: SystemDef) -> SystemDef:
+    """The same compiled rhs behind a plain function, which has no batch form
+    and is therefore evaluated one point at a time."""
+    rhs = sys.rhs
+    return dataclasses.replace(sys, rhs=lambda t, x: rhs(t, x))
+
+
+def _system(dim: int, kind: str) -> SystemDef:
+    """A time-dependent system with division and powers 2 to 5."""
+    lines = [f"kind={kind}", "nu=0.45", "h=0.5", "a=0.25",
+             "x0=" + ",".join(["0.2"] * dim)]
+    for i in range(1, dim + 1):
+        j = i % dim + 1
+        lines.append(f"f{i}=-x{i}*(1 + t/4) - x{i}^3/(2 + x{j}^2) + 0.1*t*x{j}^4*x{i}"
+                     f" - x{i}^5")
+    return parse_system_source("\n".join(lines) + "\n")[0]
+
+
+class TestBatchedRoutes:
+    """Batched evaluation against the per-point route over the same compiled rhs."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("condition", ["quadratic", 3, 4, 5, 8])
+    def test_certificate_margins_bitwise(self, dim, condition):
+        rng = np.random.default_rng(dim)
+        if condition == "quadratic":
+            cond = QuadraticCondition(random_spd_matrix(dim, rng))
+        else:
+            cond = PowerCondition(condition)
+        sys = _system(dim, "caputo" if dim % 2 else "rl")
+        assert sys.time_dependent
+        sampler = LatticeSampler(count=700, seed=dim, time_points=3)
+        batched = certify_theorem(sys, cond, sampler)
+        per_point = certify_theorem(_per_point(sys), cond, sampler)
+        assert batched.margins.tobytes() == per_point.margins.tobytes()
+        assert batched.verdict == per_point.verdict
+        assert batched.to_text() == per_point.to_text()
+
+    @pytest.mark.parametrize("key", sorted(BUILTIN_SYSTEMS))
+    def test_builtin_certificates_bitwise(self, key):
+        b = get_builtin(key)
+        sampler = LatticeSampler(count=2000)
+        batched = certify_theorem(b.system, b.condition, sampler)
+        per_point = certify_theorem(_per_point(b.system), b.condition, sampler)
+        assert batched.margins.tobytes() == per_point.margins.tobytes()
+        assert batched.to_text() == per_point.to_text()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_residual_check_bitwise(self, dim):
+        sys = _system(dim, "rl")
+        traj = solve(sys, 200)
+        per_point = dataclasses.replace(traj, system=_per_point(sys))
+        assert residual_check(traj) == residual_check(per_point)
+        assert residual_check(traj) <= 1e-8
 
 
 class TestReportSerialization:

@@ -56,6 +56,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             HGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("a,h", [
+        (0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0),
+    ])
+    def test_non_finite_grid_rejected(self, a, h):
+        # HGrid(0.0, nan, 5) once built, and fractional_sum over it was all NaN.
+        with pytest.raises(ValueError, match="finite"):
+            HGrid(a, h, 5)
+
     def test_values_validation(self):
         grid = HGrid(0.0, 1.0, 3)
         with pytest.raises(ValueError):
