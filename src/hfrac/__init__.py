@@ -48,8 +48,6 @@ from .solver import (
 from .lyapunov import (
     CertificateReport,
     DecayReport,
-    EigenDecomposition,
-    JacobiConvergenceError,
     LatticeSampler,
     NonnegativityError,
     NotPositiveDefiniteError,
@@ -57,7 +55,6 @@ from .lyapunov import (
     QuadraticCondition,
     certify_theorem,
     decay_report,
-    jacobi_diagonalize,
     lattice_points,
     power_inequality_margin,
     power_inequality_margins,

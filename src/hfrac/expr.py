@@ -224,12 +224,15 @@ def _fold_exponent(e: Expr, pos: int) -> int:
     if isinstance(e, Num):
         value = e.value
     elif isinstance(e, Pow):
-        value = float(_fold_exponent(e.base, pos)) ** e.exponent
+        try:
+            value = float(_fold_exponent(e.base, pos)) ** e.exponent
+        except OverflowError:
+            raise ExprSyntaxError("exponent is too large", pos) from None
     elif isinstance(e, Neg):
         value = -float(_fold_exponent(e.operand, pos))
     else:
         raise ExprSyntaxError("exponent must be an integer constant", pos)
-    if value != int(value) or value < 0:
+    if not math.isfinite(value) or value != int(value) or value < 0:
         raise ExprSyntaxError(
             f"exponent must be a nonnegative integer, got {value!r}", pos
         )

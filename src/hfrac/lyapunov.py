@@ -1,24 +1,20 @@
 """Numerical stability certification for fractional order-nu systems.
 
-Three layers live here, plus a cross-check:
+Three layers live here:
 
 * definiteness checks for the weight matrices, by LAPACK's symmetric
-  eigenvalue routine (``np.linalg.eigvalsh``);
+  eigenvalue routine (``np.linalg.eigvalsh``), one matrix or a stack;
 * margin checkers for the operator inequalities that make Lyapunov
   candidates work, namely  p * y^(p-1)(t+nu*h) (D^nu y)(t) >= (D^nu y^p)(t)
   for the quadratic (p=2), odd-power (p = 3, 5, ..., with y >= 0) and
   dyadic-power (p = 2^m) families, each for both operator kinds, plus the
-  matrix-weighted quadratic form version;
+  matrix-weighted quadratic form version.  Each formula is written once,
+  over a block of series: one series, or all trials of a suite's order;
 * sampled certificates for the sufficient stability conditions
   x^T P f(t,x) <= 0 (quadratic candidate) and componentwise
   x_i^(p-1) f_i(t,x) <= 0 (power candidates), evaluated over a
   deterministic low-discrepancy lattice.  A certificate is sampled
   evidence, not a proof, and the report says so.
-
-The cyclic Jacobi eigensolver (``jacobi_diagonalize``) gives the explicit
-diagonalization P = B diag(lam) B^T that every quadratic-form argument rests
-on.  It is public as an independent oracle for tests; no function here
-calls it.
 """
 
 from __future__ import annotations
@@ -29,15 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import GridFunction, caputo_difference, rl_difference
+from .operators import GridFunction, HGrid, caputo_difference, rl_difference
 from .solver import OperatorKind, SystemDef, Trajectory, solve
 
 __all__ = [
-    "JacobiConvergenceError",
     "NotPositiveDefiniteError",
     "NonnegativityError",
-    "EigenDecomposition",
-    "jacobi_diagonalize",
     "power_inequality_margin",
     "power_inequality_margins",
     "quadratic_form_margin",
@@ -60,27 +53,12 @@ __all__ = [
 MARGIN_SLACK = 1e-10
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi failed to reduce the off-diagonal within the sweep cap."""
-
-
 class NotPositiveDefiniteError(ValueError):
     """A positive definite matrix was required."""
 
 
 class NonnegativityError(ValueError):
     """The odd-power inequalities require a nonnegative function."""
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Orthogonal B and eigenvalues lam with P = B diag(lam) B^T."""
-
-    rotation: np.ndarray
-    eigenvalues: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.rotation @ np.diag(self.eigenvalues) @ self.rotation.T
 
 
 def _check_symmetric(p: np.ndarray) -> np.ndarray:
@@ -93,57 +71,13 @@ def _check_symmetric(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def jacobi_diagonalize(
-    p, *, rel_tol: float = 1e-12, max_sweeps: int = 100
-) -> EigenDecomposition:
-    """Diagonalize a real symmetric matrix by cyclic Jacobi rotations.
-
-    Rotations are applied pairwise until every off-diagonal entry is at most
-    rel_tol times the largest absolute entry of the input.
-    """
-    a = _check_symmetric(p)
-    n = a.shape[0]
-    b = np.eye(n)
-    norm = float(np.max(np.abs(a)))
-    thresh = rel_tol * norm
-    if n == 1 or norm == 0.0:
-        return EigenDecomposition(b, np.diag(a).copy())
-    for _ in range(max_sweeps):
-        off = float(np.max(np.abs(a - np.diag(np.diag(a)))))
-        if off <= thresh:
-            return EigenDecomposition(b, np.diag(a).copy())
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = a[i, j]
-                if abs(aij) <= thresh:
-                    continue
-                theta = (a[j, j] - a[i, i]) / (2.0 * aij)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.hypot(theta, 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_i = c * a[:, i] - s * a[:, j]
-                rot_j = s * a[:, i] + c * a[:, j]
-                a[:, i], a[:, j] = rot_i, rot_j
-                rot_i = c * a[i, :] - s * a[j, :]
-                rot_j = s * a[i, :] + c * a[j, :]
-                a[i, :], a[j, :] = rot_i, rot_j
-                a[i, j] = a[j, i] = 0.0
-                rot_i = c * b[:, i] - s * b[:, j]
-                rot_j = s * b[:, i] + c * b[:, j]
-                b[:, i], b[:, j] = rot_i, rot_j
-    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps")
-
-
-def _check_spd(p) -> np.ndarray:
-    p = _check_symmetric(p)
-    lam = np.linalg.eigvalsh(p)
-    if lam[0] <= 0.0:
+def _require_definite(p: np.ndarray) -> None:
+    """Raise unless each symmetric matrix of the stack (..., d, d) is definite."""
+    lam = np.linalg.eigvalsh(p)[..., 0]
+    if not np.all(lam > 0.0):
         raise NotPositiveDefiniteError(
-            f"matrix has a nonpositive eigenvalue ({lam[0]:.3e})"
+            f"matrix has a nonpositive eigenvalue ({np.min(lam):.3e})"
         )
-    return p
 
 
 def _check_psd(p) -> np.ndarray:
@@ -177,6 +111,42 @@ def _power_needs_nonneg(power: int) -> bool:
     return power >= 3 and power % 2 == 1
 
 
+def _power_margins(
+    grid: HGrid, y: np.ndarray, nu: float, power: int, kind: OperatorKind
+) -> np.ndarray:
+    """p*y^(p-1)(t+nu*h)(D y)(t) - (D y^p)(t) for each column of the (n, B)
+    block `y`, from one operator call on the columns [y, y^p]; (n-1, B)."""
+    b = y.shape[1]
+    values = np.hstack([y, y**power])
+    d = _difference_op(kind)(GridFunction(grid, values), nu).values
+    return power * y[1:] ** (power - 1) * d[:, :b] - d[:, b:]
+
+
+def _quadratic_margins(grid: HGrid, blocks, nu: float, kind: OperatorKind) -> list:
+    """y^T(t+nu*h) P (D y)(t) - (1/2)(D y^T P y)(t) for every block (y, P) of
+    stacked series y (B, n, d) and weights P (B, d, d).
+
+    One operator call takes every block's columns, its B*d components
+    followed by its B values y^T P y; one (B, n-1) array per block.
+    """
+    n = grid.n_points
+    columns = []
+    for y, p in blocks:
+        columns.append(y.transpose(1, 0, 2).reshape(n, -1))
+        columns.append(np.einsum("bki,bij,bkj->bk", y, p, y).T)
+    d = _difference_op(kind)(GridFunction(grid, np.hstack(columns)), nu).values
+    margins, start = [], 0
+    for y, p in blocks:
+        b, _, dim = y.shape
+        dy = d[:, start : start + b * dim].reshape(n - 1, b, dim).transpose(1, 0, 2)
+        dq = d[:, start + b * dim : start + b * (dim + 1)].T
+        start += b * (dim + 1)
+        # Laid out as for one series, so that einsum sums in the same order.
+        dy = np.ascontiguousarray(dy)
+        margins.append(np.einsum("bki,bij,bkj->bk", y[:, 1:], p, dy) - 0.5 * dq)
+    return margins
+
+
 def power_inequality_margins(
     y: GridFunction, nu: float, power: int, kind: OperatorKind
 ) -> np.ndarray:
@@ -193,11 +163,7 @@ def power_inequality_margins(
         raise NonnegativityError(
             f"power {power} requires a nonnegative function"
         )
-    op = _difference_op(kind)
-    dy = op(y, nu)
-    dyp = op(y.map_values(lambda v: v**power), nu)
-    yk = y.values[1:, 0]
-    return power * yk ** (power - 1) * dy.values[:, 0] - dyp.values[:, 0]
+    return _power_margins(y.grid, y.values, nu, power, kind)[:, 0]
 
 
 def power_inequality_margin(
@@ -214,17 +180,13 @@ def quadratic_form_margins(
     y: GridFunction, p, nu: float, kind: OperatorKind
 ) -> np.ndarray:
     """Margins y^T(t+nu*h) P (D y)(t) - (1/2)(D y^T P y)(t) for SPD P."""
-    p = _check_spd(p)
+    p = _check_symmetric(p)
+    _require_definite(p)
     if y.dim != p.shape[0]:
         raise ValueError(
             f"function dimension {y.dim} does not match matrix dimension {p.shape[0]}"
         )
-    op = _difference_op(kind)
-    dy = op(y, nu)
-    quad = GridFunction(y.grid, np.einsum("ki,ij,kj->k", y.values, p, y.values))
-    dq = op(quad, nu)
-    yk = y.values[1:]
-    return np.einsum("ki,ij,kj->k", yk, p, dy.values) - 0.5 * dq.values[:, 0]
+    return _quadratic_margins(y.grid, [(y.values[None], p[None])], nu, kind)[0][0]
 
 
 def quadratic_form_margin(
@@ -239,15 +201,14 @@ def quadratic_form_margin(
 
 # ---------------------------------------------------------------------------
 # Randomized margin suites (shared by the CLI `props` command and the tests).
+# Each evaluates all trials of one order in one operator call.  The worst
+# margin is a NaN as soon as one margin is: np.min propagates it, where
+# Python's min() would skip it.
 
 DEFAULT_NU_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
-
-def _random_scalar_function(rng, n_points: int, low: float, high: float) -> GridFunction:
-    from .operators import HGrid
-
-    grid = HGrid(0.0, 1.0, n_points)
-    return GridFunction(grid, rng.uniform(low, high, size=n_points))
+# np.linalg.qr factors a stack of matrices from numpy 2.0 on.
+_STACKED_QR = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 def power_margin_suite(
@@ -260,24 +221,40 @@ def power_margin_suite(
     rng=None,
 ) -> float:
     """Worst margin of the power inequality over randomized functions."""
+    _check_power(power)
     rng = np.random.default_rng(0) if rng is None else rng
     low = 0.0 if _power_needs_nonneg(power) else -1.0
+    grid = HGrid(0.0, 1.0, n_points)
     worst = math.inf
     for nu in nu_values:
-        for _ in range(trials):
-            y = _random_scalar_function(rng, n_points, low, 1.0)
-            margins = power_inequality_margins(y, nu, power, kind)
-            worst = min(worst, float(np.min(margins)))
+        # One row per trial, the numbers of one draw per trial; C-ordered so
+        # that the pow loops see contiguous data, as for one series.
+        y = np.ascontiguousarray(rng.uniform(low, 1.0, size=(trials, n_points)).T)
+        worst = float(np.min(_power_margins(grid, y, nu, power, kind), initial=worst))
     return worst
+
+
+def _spd_draws(dim: int, rng, cond_max: float = 1e3) -> tuple:
+    """Draws for one random SPD matrix: a normal matrix, then log10-eigenvalues."""
+    span = 0.5 * math.log10(cond_max)
+    return rng.normal(size=(dim, dim)), rng.uniform(-span, span, size=dim)
+
+
+def _spd_matrices(normals: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """P = Q diag(10^exponents) Q^T, Q from the QR factorization of the
+    normal matrix, for one draw of :func:`_spd_draws` or a stack of them."""
+    if normals.ndim == 2 or _STACKED_QR:
+        q, _ = np.linalg.qr(normals)
+    else:
+        q = np.stack([np.linalg.qr(a)[0] for a in normals])
+    eig = 10.0**exponents
+    p = q @ (eig[..., None] * np.eye(eig.shape[-1])) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
 def random_spd_matrix(dim: int, rng, cond_max: float = 1e3) -> np.ndarray:
     """Random SPD matrix with condition number at most cond_max."""
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    span = 0.5 * math.log10(cond_max)
-    eig = 10.0 ** rng.uniform(-span, span, size=dim)
-    p = q @ np.diag(eig) @ q.T
-    return 0.5 * (p + p.T)
+    return _spd_matrices(*_spd_draws(dim, rng, cond_max))
 
 
 def quadratic_margin_suite(
@@ -289,19 +266,37 @@ def quadratic_margin_suite(
     n_points: int = 24,
     rng=None,
 ) -> float:
-    """Worst margin / max|P| of the quadratic form inequality, randomized."""
-    from .operators import HGrid
+    """Worst margin / max|P| of the quadratic form inequality, randomized.
 
+    Trial k of each order has dimension dims[k % len(dims)] and draws P, then
+    y; the draws come trial by trial, the arithmetic in stacks per dimension.
+    """
     rng = np.random.default_rng(0) if rng is None else rng
-    worst = math.inf
-    for nu in nu_values:
+    nu_values = tuple(nu_values)
+    grid = HGrid(0.0, 1.0, n_points)
+    draws = {}
+    for _ in nu_values:
         for k in range(trials):
             dim = dims[k % len(dims)]
-            p = random_spd_matrix(dim, rng)
-            grid = HGrid(0.0, 1.0, n_points)
-            y = GridFunction(grid, rng.uniform(-1.0, 1.0, size=(n_points, dim)))
-            margins = quadratic_form_margins(y, p, nu, kind)
-            worst = min(worst, float(np.min(margins)) / float(np.max(np.abs(p))))
+            normal, exponents = _spd_draws(dim, rng)
+            y = rng.uniform(-1.0, 1.0, size=(n_points, dim))
+            draws.setdefault(dim, []).append((normal, exponents, y))
+    stacks = []
+    for dim, group in draws.items():
+        normals, exponents, y = (np.stack(a) for a in zip(*group))
+        p = _spd_matrices(normals, exponents)
+        _require_definite(p)
+        # Every order has the same trials, so axis 0 can index the order.
+        stacks.append((y.reshape(len(nu_values), -1, n_points, dim),
+                       p.reshape(len(nu_values), -1, dim, dim)))
+    worst = math.inf
+    if not stacks:
+        return worst
+    for i, nu in enumerate(nu_values):
+        blocks = [(y[i], p[i]) for y, p in stacks]
+        for (_, p), margins in zip(blocks, _quadratic_margins(grid, blocks, nu, kind)):
+            scaled = np.min(margins, axis=1) / np.max(np.abs(p), axis=(1, 2))
+            worst = float(np.min(scaled, initial=worst))
     return worst
 
 

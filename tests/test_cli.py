@@ -95,6 +95,27 @@ class TestSimulate:
         assert code == EXIT_USAGE
 
 
+PROPS_TRIALS_3_SEED_0 = """\
+suite                         worst margin
+caputo-square                    8.787e-04  ok
+rl-square                        7.677e-05  ok
+caputo-quadratic-form            6.321e-04  ok
+rl-quadratic-form                6.283e-03  ok
+caputo-odd-power-3               2.638e-05  ok
+caputo-odd-power-5               5.520e-10  ok
+caputo-odd-power-7               1.866e-07  ok
+caputo-dyadic-power-2            1.080e-04  ok
+caputo-dyadic-power-4            2.590e-06  ok
+caputo-dyadic-power-8            2.782e-08  ok
+rl-odd-power-3                   7.912e-07  ok
+rl-odd-power-5                   1.127e-08  ok
+rl-odd-power-7                   7.784e-10  ok
+rl-dyadic-power-2                1.598e-04  ok
+rl-dyadic-power-4                1.423e-09  ok
+rl-dyadic-power-8                2.616e-08  ok
+"""
+
+
 class TestProps:
     def test_small_run_passes_and_is_deterministic(self, capsys):
         code = main(["props", "--trials", "3", "--seed", "5"])
@@ -106,6 +127,12 @@ class TestProps:
         assert out1 == out2
         assert "caputo-square" in out1
         assert "rl-dyadic-power-8" in out1
+
+    def test_output_pinned(self, capsys):
+        # The stdout of this call, the benchmark's call shape, as printed
+        # before the suites were batched.
+        assert main(["props", "--trials", "3", "--seed", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == PROPS_TRIALS_3_SEED_0
 
     def test_zero_trials_rejected(self):
         assert main(["props", "--trials", "0"]) == EXIT_USAGE
@@ -232,6 +259,16 @@ class TestNonFiniteParameters:
         # --tol=-1 once ran every suite, printed 16 FAILs and exited 1.
         assert main(["props", "--trials", "1", f"--tol={value}"]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rhs", ["-x1^1e999", "x1^(2^2000)"])
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_exponent_overflow(self, tmp_path, capsys, command, rhs):
+        # Once an OverflowError traceback with exit 1.
+        path = tmp_path / "f.txt"
+        path.write_text(STABLE_FILE.replace("f1=-x1", f"f1={rhs}"))
+        args = ["--out", str(tmp_path / "t.csv")] if command == "simulate" else []
+        assert main([command, "--file", str(path), *args]) == EXIT_USAGE
+        assert "exponent" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["a=nan", "h=inf", "x0=0.3,nan"])
     def test_definition_file(self, tmp_path, capsys, line):

@@ -62,6 +62,15 @@ class TestParsing:
             with pytest.raises(ExprSyntaxError):
                 parse(src, 1)
 
+    @pytest.mark.parametrize("src", ["-x1^1e999", "x1^(2^2000)", "x1^-(1e999)", "x1^(1e999^2)"])
+    def test_exponent_too_large(self, src):
+        # These once escaped the parser as OverflowError.
+        with pytest.raises(ExprSyntaxError):
+            parse(src, 1)
+
+    def test_large_finite_exponent_accepted(self):
+        assert parse("x1^1e20", 1) == Pow(Var("x1", 0), 10**20)
+
     def test_empty_source(self):
         with pytest.raises(ExprSyntaxError):
             parse("   ", 1)

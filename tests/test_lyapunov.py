@@ -1,6 +1,7 @@
 """Tests for diagonalization, inequality margins, and certificates."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from hfrac import (
     certify_theorem,
     decay_report,
     get_builtin,
-    jacobi_diagonalize,
     lattice_points,
     parse_system_source,
     power_inequality_margin,
@@ -33,6 +33,9 @@ from hfrac import (
     residual_check,
     solve,
 )
+from hfrac import lyapunov
+from hfrac.operators import ShiftedGridFunction, caputo_difference, rl_difference
+from jacobi_oracle import jacobi_diagonalize
 
 SLACK = 1e-10
 
@@ -180,6 +183,158 @@ class TestQuadraticFormMargins:
             OperatorKind.RIEMANN_LIOUVILLE, nu_values=(0.4,), trials=10, rng=rng
         )
         assert worst >= -SLACK
+
+
+# The suites' per-trial route as it was before they were batched: two
+# operator calls per trial, margins and P built one trial at a time.  Kept
+# as the oracle that the batched suites must match bit for bit.
+def _per_trial_power_suite(kind, power, *, nu_values, trials, n_points, rng):
+    op = caputo_difference if kind is OperatorKind.CAPUTO else rl_difference
+    low = 0.0 if power >= 3 and power % 2 == 1 else -1.0
+    worst = math.inf
+    for nu in nu_values:
+        for _ in range(trials):
+            y = GridFunction(HGrid(0.0, 1.0, n_points), rng.uniform(low, 1.0, size=n_points))
+            dy = op(y, nu)
+            dyp = op(y.map_values(lambda v: v**power), nu)
+            yk = y.values[1:, 0]
+            margins = power * yk ** (power - 1) * dy.values[:, 0] - dyp.values[:, 0]
+            worst = min(worst, float(np.min(margins)))
+    return worst
+
+
+def _per_trial_spd_matrix(dim, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    span = 0.5 * math.log10(1e3)
+    eig = 10.0 ** rng.uniform(-span, span, size=dim)
+    p = q @ np.diag(eig) @ q.T
+    return 0.5 * (p + p.T)
+
+
+def _per_trial_quadratic_suite(kind, *, dims, nu_values, trials, n_points, rng):
+    op = caputo_difference if kind is OperatorKind.CAPUTO else rl_difference
+    worst = math.inf
+    for nu in nu_values:
+        for k in range(trials):
+            dim = dims[k % len(dims)]
+            p = _per_trial_spd_matrix(dim, rng)
+            y = GridFunction(HGrid(0.0, 1.0, n_points), rng.uniform(-1.0, 1.0, size=(n_points, dim)))
+            assert np.linalg.eigvalsh(p)[0] > 0.0
+            dy = op(y, nu)
+            dq = op(GridFunction(y.grid, np.einsum("ki,ij,kj->k", y.values, p, y.values)), nu)
+            margins = (np.einsum("ki,ij,kj->k", y.values[1:], p, dy.values)
+                       - 0.5 * dq.values[:, 0])
+            worst = min(worst, float(np.min(margins)) / float(np.max(np.abs(p))))
+    return worst
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+KINDS = (OperatorKind.CAPUTO, OperatorKind.RIEMANN_LIOUVILLE)
+
+
+class TestBatchedSuites:
+    """The batched suites against the per-trial route: the same worst
+    margin and the same random stream afterwards, bit for bit."""
+
+    @pytest.mark.parametrize("n_points", [2, 24])
+    @pytest.mark.parametrize("power", [2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("trials", [0, 1, 2, 7])
+    def test_power_suite_bitwise(self, trials, kind, power, n_points):
+        args = dict(nu_values=lyapunov.DEFAULT_NU_GRID, trials=trials, n_points=n_points)
+        rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+        worst = power_margin_suite(kind, power, rng=rng, **args)
+        expected = _per_trial_power_suite(kind, power, rng=ref_rng, **args)
+        assert _bits(worst) == _bits(expected)
+        assert rng.random() == ref_rng.random()
+        if trials == 0:
+            assert worst == math.inf
+
+    @pytest.mark.parametrize("n_points", [2, 24])
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (1, 5)])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("trials", [0, 1, 2, 7])
+    def test_quadratic_suite_bitwise(self, trials, kind, dims, n_points, monkeypatch):
+        args = dict(dims=dims, nu_values=lyapunov.DEFAULT_NU_GRID, trials=trials,
+                    n_points=n_points)
+        expected = _per_trial_quadratic_suite(kind, rng=np.random.default_rng(42), **args)
+        after = np.random.default_rng(42)
+        _per_trial_quadratic_suite(kind, rng=after, **args)
+        after = after.random()
+        # Both QR routes: stacked (numpy >= 2.0) and one matrix at a time.
+        for stacked in sorted({False, lyapunov._STACKED_QR}):
+            monkeypatch.setattr(lyapunov, "_STACKED_QR", stacked)
+            rng = np.random.default_rng(42)
+            worst = quadratic_margin_suite(kind, rng=rng, **args)
+            assert _bits(worst) == _bits(expected)
+            assert rng.random() == after
+        if trials == 0:
+            assert worst == math.inf
+
+    def test_random_spd_matrix_bitwise(self):
+        for dim in (1, 2, 3, 4, 5):
+            rng, ref_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+            for _ in range(5):
+                p = random_spd_matrix(dim, rng)
+                assert p.tobytes() == _per_trial_spd_matrix(dim, ref_rng).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nan_margin_fails(self, kind, monkeypatch, capsys):
+        # One NaN among an order's finite margins.  Python's min() skipped
+        # it, so the suites returned a finite worst and `props` printed ok.
+        real = lyapunov._difference_op(kind)
+
+        def nan_op(kind):
+            def op(f, nu):
+                d = real(f, nu)
+                values = d.values.copy()
+                values[-1, -1] = np.nan
+                return ShiftedGridFunction(d.base_grid, d.offset, values)
+            return op
+
+        monkeypatch.setattr(lyapunov, "_difference_op", nan_op)
+        rng = np.random.default_rng(3)
+        assert math.isnan(power_margin_suite(kind, 3, trials=5, rng=rng))
+        assert math.isnan(power_margin_suite(kind, 2, trials=5, rng=rng))
+        assert math.isnan(quadratic_margin_suite(kind, trials=5, rng=rng))
+        from hfrac.cli import EXIT_FAIL, main
+
+        assert main(["props", "--trials", "2"]) == EXIT_FAIL
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 16
+        assert all(row.split()[1:] == ["nan", "FAIL"] for row in rows)
+
+
+class TestStackedDefiniteness:
+    """The stacked eigvalsh check against Jacobi rotations, matrix by matrix."""
+
+    def test_eigenvalues_match_jacobi(self):
+        rng = np.random.default_rng(43)
+        for dim in (1, 2, 3, 4, 6):
+            normals = rng.normal(size=(9, dim, dim))
+            p = lyapunov._spd_matrices(normals, rng.uniform(-1.5, 1.5, size=(9, dim)))
+            lam = np.linalg.eigvalsh(p)
+            for pi, li in zip(p, lam):
+                oracle = np.sort(jacobi_diagonalize(pi).eigenvalues)
+                np.testing.assert_allclose(li, oracle, rtol=1e-10, atol=0.0)
+                assert oracle[0] > 0.0
+            lyapunov._require_definite(p)
+
+    def test_one_indefinite_matrix_in_a_stack_raises(self):
+        rng = np.random.default_rng(44)
+        p = lyapunov._spd_matrices(rng.normal(size=(6, 3, 3)), rng.uniform(-1.5, 1.5, size=(6, 3)))
+        for shift in (2.0, 1.0 + 1e-9):
+            bad = p.copy()
+            # Push the 5th matrix's smallest eigenvalue to or below zero.
+            bad[4] -= shift * np.min(jacobi_diagonalize(bad[4]).eigenvalues) * np.eye(3)
+            assert np.min(jacobi_diagonalize(bad[4]).eigenvalues) < 0.0
+            with pytest.raises(NotPositiveDefiniteError):
+                lyapunov._require_definite(bad)
+        with pytest.raises(NotPositiveDefiniteError):
+            lyapunov._require_definite(np.array([np.eye(2), np.zeros((2, 2))]))
 
 
 class TestLattice:
