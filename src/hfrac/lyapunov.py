@@ -20,6 +20,7 @@ Three layers live here:
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -207,9 +208,6 @@ def quadratic_form_margin(
 
 DEFAULT_NU_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
-# np.linalg.qr factors a stack of matrices from numpy 2.0 on.
-_STACKED_QR = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
-
 
 def power_margin_suite(
     kind: OperatorKind,
@@ -243,10 +241,7 @@ def _spd_draws(dim: int, rng, cond_max: float = 1e3) -> tuple:
 def _spd_matrices(normals: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """P = Q diag(10^exponents) Q^T, Q from the QR factorization of the
     normal matrix, for one draw of :func:`_spd_draws` or a stack of them."""
-    if normals.ndim == 2 or _STACKED_QR:
-        q, _ = np.linalg.qr(normals)
-    else:
-        q = np.stack([np.linalg.qr(a)[0] for a in normals])
+    q, _ = np.linalg.qr(normals)
     eig = 10.0**exponents
     p = q @ (eig[..., None] * np.eye(eig.shape[-1])) @ np.swapaxes(q, -1, -2)
     return 0.5 * (p + np.swapaxes(p, -1, -2))
@@ -255,6 +250,13 @@ def _spd_matrices(normals: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 def random_spd_matrix(dim: int, rng, cond_max: float = 1e3) -> np.ndarray:
     """Random SPD matrix with condition number at most cond_max."""
     return _spd_matrices(*_spd_draws(dim, rng, cond_max))
+
+
+# The quadratic suite stacks the trials of as many orders as fit into this
+# many trials (at least one order): with few trials the orders still share a
+# QR and eigvalsh call per dimension (one order at a time, `props --trials 3`
+# scored benchmark work_per_ref 58 instead of 74), and memory stays O(trials).
+_SUITE_TRIALS = 2048
 
 
 def quadratic_margin_suite(
@@ -269,34 +271,34 @@ def quadratic_margin_suite(
     """Worst margin / max|P| of the quadratic form inequality, randomized.
 
     Trial k of each order has dimension dims[k % len(dims)] and draws P, then
-    y; the draws come trial by trial, the arithmetic in stacks per dimension.
+    y, trial by trial; the arithmetic runs per chunk of orders and dimension.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    nu_values = tuple(nu_values)
     grid = HGrid(0.0, 1.0, n_points)
-    draws = {}
-    for _ in nu_values:
-        for k in range(trials):
-            dim = dims[k % len(dims)]
-            normal, exponents = _spd_draws(dim, rng)
-            y = rng.uniform(-1.0, 1.0, size=(n_points, dim))
-            draws.setdefault(dim, []).append((normal, exponents, y))
-    stacks = []
-    for dim, group in draws.items():
-        normals, exponents, y = (np.stack(a) for a in zip(*group))
-        p = _spd_matrices(normals, exponents)
-        _require_definite(p)
-        # Every order has the same trials, so axis 0 can index the order.
-        stacks.append((y.reshape(len(nu_values), -1, n_points, dim),
-                       p.reshape(len(nu_values), -1, dim, dim)))
-    worst = math.inf
-    if not stacks:
-        return worst
-    for i, nu in enumerate(nu_values):
-        blocks = [(y[i], p[i]) for y, p in stacks]
-        for (_, p), margins in zip(blocks, _quadratic_margins(grid, blocks, nu, kind)):
-            scaled = np.min(margins, axis=1) / np.max(np.abs(p), axis=(1, 2))
-            worst = float(np.min(scaled, initial=worst))
+    orders, worst = iter(nu_values), math.inf
+    while chunk := tuple(itertools.islice(orders, max(1, _SUITE_TRIALS // max(trials, 1)))):
+        draws = {}
+        for _ in chunk:
+            for k in range(trials):
+                dim = dims[k % len(dims)]
+                normal, exponents = _spd_draws(dim, rng)
+                y = rng.uniform(-1.0, 1.0, size=(n_points, dim))
+                draws.setdefault(dim, []).append((normal, exponents, y))
+        stacks = []
+        for dim, group in draws.items():
+            normals, exponents, y = (np.stack(a) for a in zip(*group))
+            p = _spd_matrices(normals, exponents)
+            _require_definite(p)
+            # Every order has the same trials, so axis 0 can index the order.
+            stacks.append((y.reshape(len(chunk), -1, n_points, dim),
+                           p.reshape(len(chunk), -1, dim, dim)))
+        if not stacks:
+            continue
+        for i, nu in enumerate(chunk):
+            blocks = [(y[i], p[i]) for y, p in stacks]
+            for (_, p), margins in zip(blocks, _quadratic_margins(grid, blocks, nu, kind)):
+                scaled = np.min(margins, axis=1) / np.max(np.abs(p), axis=(1, 2))
+                worst = float(np.min(scaled, initial=worst))
     return worst
 
 

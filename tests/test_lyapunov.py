@@ -264,15 +264,28 @@ class TestBatchedSuites:
         after = np.random.default_rng(42)
         _per_trial_quadratic_suite(kind, rng=after, **args)
         after = after.random()
-        # Both QR routes: stacked (numpy >= 2.0) and one matrix at a time.
-        for stacked in sorted({False, lyapunov._STACKED_QR}):
-            monkeypatch.setattr(lyapunov, "_STACKED_QR", stacked)
+        # All orders in one chunk; then chunks of three orders (trials 1)
+        # or of one order (trials 2 and 7).
+        for chunk_trials in (lyapunov._SUITE_TRIALS, 3):
+            monkeypatch.setattr(lyapunov, "_SUITE_TRIALS", chunk_trials)
             rng = np.random.default_rng(42)
             worst = quadratic_margin_suite(kind, rng=rng, **args)
             assert _bits(worst) == _bits(expected)
             assert rng.random() == after
         if trials == 0:
             assert worst == math.inf
+
+    def test_quadratic_suite_takes_any_iterable(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "_SUITE_TRIALS", 4)
+        args = dict(trials=2, n_points=6)
+        expected = quadratic_margin_suite(
+            OperatorKind.CAPUTO, nu_values=(0.2, 0.5, 0.9), rng=np.random.default_rng(5), **args
+        )
+        worst = quadratic_margin_suite(
+            OperatorKind.CAPUTO, nu_values=(nu for nu in (0.2, 0.5, 0.9)),
+            rng=np.random.default_rng(5), **args
+        )
+        assert _bits(worst) == _bits(expected)
 
     def test_random_spd_matrix_bitwise(self):
         for dim in (1, 2, 3, 4, 5):
