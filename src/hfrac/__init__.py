@@ -38,10 +38,8 @@ from .solver import (
     StepRecord,
     SystemDef,
     Trajectory,
-    caputo_solve,
     reconstruct_from_difference,
     residual_check,
-    rl_solve,
     solve,
     write_step_csv,
 )
@@ -56,10 +54,8 @@ from .lyapunov import (
     certify_theorem,
     decay_report,
     lattice_points,
-    power_inequality_margin,
     power_inequality_margins,
     power_margin_suite,
-    quadratic_form_margin,
     quadratic_form_margins,
     quadratic_margin_suite,
     random_spd_matrix,

@@ -32,9 +32,7 @@ from .solver import OperatorKind, SystemDef, Trajectory, solve
 __all__ = [
     "NotPositiveDefiniteError",
     "NonnegativityError",
-    "power_inequality_margin",
     "power_inequality_margins",
-    "quadratic_form_margin",
     "quadratic_form_margins",
     "QuadraticCondition",
     "PowerCondition",
@@ -167,16 +165,6 @@ def power_inequality_margins(
     return _power_margins(y.grid, y.values, nu, power, kind)[:, 0]
 
 
-def power_inequality_margin(
-    y: GridFunction, nu: float, power: int, kind: OperatorKind, t_index: int
-) -> float:
-    """Single-point version of :func:`power_inequality_margins`."""
-    margins = power_inequality_margins(y, nu, power, kind)
-    if not 0 <= t_index < len(margins):
-        raise IndexError(f"t_index {t_index} out of range 0..{len(margins) - 1}")
-    return float(margins[t_index])
-
-
 def quadratic_form_margins(
     y: GridFunction, p, nu: float, kind: OperatorKind
 ) -> np.ndarray:
@@ -188,16 +176,6 @@ def quadratic_form_margins(
             f"function dimension {y.dim} does not match matrix dimension {p.shape[0]}"
         )
     return _quadratic_margins(y.grid, [(y.values[None], p[None])], nu, kind)[0][0]
-
-
-def quadratic_form_margin(
-    y: GridFunction, p, nu: float, kind: OperatorKind, t_index: int
-) -> float:
-    """Single-point version of :func:`quadratic_form_margins`."""
-    margins = quadratic_form_margins(y, p, nu, kind)
-    if not 0 <= t_index < len(margins):
-        raise IndexError(f"t_index {t_index} out of range 0..{len(margins) - 1}")
-    return float(margins[t_index])
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,12 @@ fractional differences) an equivalent single-sum form used as a cross-check:
 * ``summation_by_parts_residual`` -- discrete integration-by-parts identity,
                               kept as a self-test oracle.
 
-The sum, and through it both production differences, convolves directly
-below ``_FFT_MIN`` points and from there on through a blocked real FFT,
-O(n log^2 n), whose error at each output scales with the samples up to it,
-like the direct sum's.  The two oracles always take the direct O(n^2) sum,
-so they share neither the kernel nor the convolution algorithm with the
-operators they check; from ``_FFT_MIN`` points on, that sum runs as
-BLAS-3 products of Toeplitz blocks (:func:`_convolve_direct`), still
-O(n^2) and built apart from the production route's blocks.
+The sum, and through it both production differences, takes the direct
+O(n^2) sum below ``_FFT_MIN`` points and a blocked real FFT, O(n log^2 n),
+from there on; on both routes an output's error scales with the samples up
+to it.  The two oracles always take the direct sum, with their own
+gamma-ratio kernels.  The direct sum is one route at every size, products
+of Toeplitz blocks (:func:`_block_products`).
 """
 
 from __future__ import annotations
@@ -183,58 +181,64 @@ class ShiftedGridFunction:
 
 
 # Series with at least this many points take the blocked FFT route of
-# :func:`_convolve_columns`.  On a 2-vCPU Xeon with numpy 2.4 and 2 columns
-# the two routes cost the same between 1536 and 1792 points (1024: direct
-# 0.35 ms, blocked 0.56 ms; 3072: direct 2.3 ms, blocked 0.83 ms); 2048
-# keeps the blocked route to sizes where it clearly wins.
+# :func:`_convolve_columns`, shorter ones the direct sum.  Set when that sum
+# was np.convolve; the Toeplitz block sum breaks even with the FFT route
+# between 3072 and 4096 points (2-vCPU Xeon, numpy 2.4, 2 columns).
 _FFT_MIN = 2048
 
-# Longest diagonal block that the blocked route multiplies directly, and
-# the block length of the direct sum from ``_FFT_MIN`` points on.  For the
-# direct sum on a 2-vCPU Xeon with numpy 2.4 (OpenBLAS, 2 threads) and 2
-# columns, 30 alternating runs each, 128 / 256 took 15.3 / 17.9 ms on 15000
-# points and 34 / 37 ms on 25000 (128 faster in 27 and 26 of 30); on 1e5
-# points 256 was 9% faster (0.36 s against 0.39 s).
+# Longest Toeplitz block of the direct sum and of the FFT route's diagonal.
+# On the same host 128 beat 256 on 15000 and 25000 points (15.3 / 17.9 and
+# 34 / 37 ms, 30 alternating runs); 256 was 9% faster on 1e5 points.
 _BLOCK_MAX = 128
+
+
+def _block_products(kernel: np.ndarray, values: np.ndarray, b: int, blocks: int,
+                    lags: int) -> np.ndarray:
+    """Lag blocks 0 .. lags-1 of the causal convolution of each column, cut
+    into `blocks` rows of `b` samples (zero past n); blocks*b outputs each.
+
+    Lag block d multiplies each sample row by the transposed Toeplitz matrix
+    T_d[j, i] = kernel[d*b + i - j] (zero at negative lags) into the output
+    row d rows later (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 6, 1985).  Each output column is contiguous.
+    """
+    n, dim = values.shape
+    # windows[s, r] = padded[s + r], padded[m + b - 1] = kernel[m] (0 for
+    # m < 0), so windows[d*b + b - 1 - j, i] = kernel[d*b + i - j]; the
+    # ndarray constructor checks the extent at a tenth of the call cost of
+    # sliding_window_view.
+    padded = np.zeros((lags + 1) * b - 1)
+    m = min(len(kernel), lags * b)
+    padded[b - 1 : b - 1 + m] = kernel[:m]
+    windows = np.ndarray((lags * b, b), float, padded, 0, padded.strides * 2)
+
+    def toeplitz(d):
+        # A contiguous copy, so that the products run in BLAS.
+        return np.ascontiguousarray(windows[d * b : (d + 1) * b][::-1])
+
+    # samples[c, s, j] = values[s*b + j, c], zero past n.
+    samples = np.zeros((dim, blocks, b))
+    samples.reshape(dim, blocks * b)[:, :n] = values.T
+    # One product per column and lag, whatever the number of columns, so
+    # that a column's sums do not depend on the columns beside it.
+    out = samples @ toeplitz(0)
+    for d in range(1, min(lags, blocks)):
+        out[:, d:] += samples[:, : blocks - d] @ toeplitz(d)
+    return out.reshape(dim, blocks * b).T
 
 
 def _convolve_direct(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Causal convolution of each column with `kernel`, truncated to len(values).
 
-    The plain O(n^2) sum: ``np.convolve`` per column below ``_FFT_MIN``
-    points.  From there on each column is cut into rows of B = ``_BLOCK_MAX``
-    samples, and for each lag block d the transposed Toeplitz matrix
-    T_d[j, i] = kernel[d*B + i - j] (zero at negative lags) multiplies, in one
-    matrix product, every sample row that reaches an output row d rows
-    later.  Only the summation order differs from ``np.convolve``: no pair
-    (sample j, output k < j) is summed, and an output's rounding error still
-    scales with sum |kernel| |values| up to it.
+    The plain O(n^2) sum, as :func:`_block_products` over every lag block of
+    B = min(n, ``_BLOCK_MAX``) samples.  Only the summation order differs
+    from ``np.convolve``: no pair (sample j, output k < j) is summed, and an
+    output's rounding error still scales with sum |kernel| |values| up to it.
     """
-    n, dim = values.shape
-    if n < _FFT_MIN:
-        out = np.empty_like(values)
-        for j in range(dim):
-            out[:, j] = np.convolve(kernel, values[:, j])[:n]
-        return out
-    b = _BLOCK_MAX
+    n = len(values)
+    b = min(n, _BLOCK_MAX)
     blocks = -(-n // b)
-    size = blocks * b
-    # windows[s, r] = padded[s + r], padded[m + b - 1] = kernel[m] (0 for
-    # m < 0), so windows[d*b + i, b - 1 - j] = kernel[d*b + i - j].
-    padded = np.zeros(size + b - 1)
-    padded[b - 1 : b - 1 + n] = kernel[:n]
-    windows = sliding_window_view(padded, b)
-    out = np.zeros((dim, size))
-    column = np.zeros(size)
-    samples = column.reshape(blocks, b)
-    for c in range(dim):
-        column[:n] = values[:, c]
-        rows = out[c].reshape(blocks, b)
-        for d in range(blocks):
-            # A contiguous copy, so that the product runs in BLAS.
-            toeplitz = np.ascontiguousarray(windows[d * b : (d + 1) * b, ::-1].T)
-            rows[d:] += samples[: blocks - d] @ toeplitz
-    return out[:, :n].T
+    return _block_products(kernel, values, b, blocks, blocks)[:n]
 
 
 def _convolve_columns(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -242,8 +246,8 @@ def _convolve_columns(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     Short series use :func:`_convolve_direct`.  From ``_FFT_MIN`` points on,
     the pairs (sample j, output k >= j) are split into diagonal blocks of
-    at most ``_BLOCK_MAX`` points, each multiplied by one lower-triangular
-    Toeplitz matrix, and squares of pairs (samples [s, s+w), outputs
+    at most ``_BLOCK_MAX`` points, multiplied by :func:`_block_products`,
+    and squares of pairs (samples [s, s+w), outputs
     [s+w, s+2w)) with s a multiple of 2w, taken through the real FFT one
     width w = block, 2 block, 4 block, ... at a time: O(n log^2 n).  A
     square reads only samples before its outputs, so an output's rounding
@@ -259,14 +263,8 @@ def _convolve_columns(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     # A multiple of 16 keeps every transform length free of large primes.
     block = -(-n // (16 << levels)) * 16
     size = block << levels
-    lag = np.subtract.outer(np.arange(block), np.arange(block))
-    toeplitz = np.where(lag >= 0, kernel[np.abs(lag)], 0.0)
-    # `out` first holds the zero-padded samples, which each column's
-    # diagonal blocks then replace; the squares read `values` itself.
-    out = np.zeros((size, dim))
-    out[:n] = values
-    for j in range(dim):
-        out[:, j] = (out[:, j].reshape(-1, block) @ toeplitz.T).ravel()
+    # The diagonal blocks of the zero-padded series; the squares add the rest.
+    out = _block_products(kernel, values, block, 1 << levels, 1)
     width = block
     while width < size:
         # Lags 1 .. 2*width-1, moved down by one: the square's output
@@ -275,9 +273,9 @@ def _convolve_columns(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         for j in range(dim):
             # Samples [s, s+width) for every s = 0, 2*width, ... with s+width < n.
             heads = sliding_window_view(values[:-1, j], width)[:: 2 * width]
-            tails = out[: 2 * width * len(heads)].reshape(-1, 2 * width, dim)
+            tails = out[: 2 * width * len(heads), j].reshape(-1, 2 * width)
             column = np.fft.rfft(heads, 2 * width) * spectrum
-            tails[:, width:, j] += np.fft.irfft(column, 2 * width)[:, width - 1 : -1]
+            tails[:, width:] += np.fft.irfft(column, 2 * width)[:, width - 1 : -1]
             # Dropped before the next transform, to hold the peak memory.
             del column
         width *= 2

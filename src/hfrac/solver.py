@@ -47,8 +47,6 @@ __all__ = [
     "SolverDivergenceError",
     "EquilibriumError",
     "solve",
-    "caputo_solve",
-    "rl_solve",
     "residual_check",
     "reconstruct_from_difference",
     "write_step_csv",
@@ -272,29 +270,22 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     records: list[StepRecord] = []
     caputo = sys.kind is OperatorKind.CAPUTO
     inv = None
-    for n in range(1, n_steps + 1):
-        base = states[0] if caputo else weights[n] * states[0]
-        memory = scale * (rev[n_steps - n + 1 : n_steps] @ history[: n - 1])
-        # Linear extrapolation of the last two states starts the iteration.
-        start = 2.0 * states[n - 1] - states[n - 2] if n >= 2 else states[0]
-        states[n], history[n - 1], inv, record = _implicit_step(
-            sys, n, sys.shifted_time(n - 1), base + memory, scale, start, inv, tol
-        )
-        records.append(record)
+    try:
+        for n in range(1, n_steps + 1):
+            base = states[0] if caputo else weights[n] * states[0]
+            memory = scale * (rev[n_steps - n + 1 : n_steps] @ history[: n - 1])
+            # Linear extrapolation of the last two states starts the iteration.
+            start = 2.0 * states[n - 1] - states[n - 2] if n >= 2 else states[0]
+            states[n], history[n - 1], inv, record = _implicit_step(
+                sys, n, sys.shifted_time(n - 1), base + memory, scale, start, inv, tol
+            )
+            records.append(record)
+    except ArithmeticError as err:  # overflow or division by zero in the rhs
+        t = sys.shifted_time(n - 1)
+        msg = f"rhs raised {type(err).__name__}: {err} at step {n} (t = {t!r})"
+        raise SolverDivergenceError(n, math.nan, msg) from err
     grid = HGrid(sys.a, sys.h, n_steps + 1)
     return Trajectory(sys, GridFunction(grid, states), tuple(records))
-
-
-def caputo_solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajectory:
-    if sys.kind is not OperatorKind.CAPUTO:
-        raise ValueError("caputo_solve requires a Caputo system")
-    return solve(sys, n_steps, tol)
-
-
-def rl_solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajectory:
-    if sys.kind is not OperatorKind.RIEMANN_LIOUVILLE:
-        raise ValueError("rl_solve requires a Riemann-Liouville system")
-    return solve(sys, n_steps, tol)
 
 
 def residual_check(traj: Trajectory) -> float:

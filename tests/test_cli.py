@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfrac.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from hfrac.cli import EXIT_FAIL, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 
 STABLE_FILE = """
 kind=caputo
@@ -285,6 +285,26 @@ class TestNonFiniteParameters:
         assert code == EXIT_USAGE
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+
+class TestRhsRaises:
+    """An rhs that raises an ArithmeticError mid-solve is a solver failure."""
+
+    @pytest.mark.parametrize("x0,rhs,what", [
+        ("1e300", "-x1^3", "Numerical result out of range"),
+        ("0.1", "x1/(x1-0.1)", "division by zero"),
+    ], ids=["overflow", "division-by-zero"])
+    def test_simulate(self, tmp_path, capsys, x0, rhs, what):
+        # Both once ended in a traceback with exit 1.
+        path = tmp_path / "f.txt"
+        path.write_text(STABLE_FILE.replace("x0=0.3", f"x0={x0}").replace("f1=-x1", f"f1={rhs}"))
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--file", str(path), "--steps", "8", "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "step 1 " in err and "t = 0.5" in err and what in err
 
 
 class TestUsage:

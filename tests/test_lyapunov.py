@@ -23,10 +23,8 @@ from hfrac import (
     get_builtin,
     lattice_points,
     parse_system_source,
-    power_inequality_margin,
     power_inequality_margins,
     power_margin_suite,
-    quadratic_form_margin,
     quadratic_form_margins,
     quadratic_margin_suite,
     random_spd_matrix,
@@ -106,16 +104,6 @@ class TestPowerMargins:
             margins = power_inequality_margins(y, 0.5, 5, OperatorKind.CAPUTO)
             assert np.min(margins) >= -SLACK
 
-    def test_single_point_accessor(self):
-        rng = np.random.default_rng(13)
-        y = scalar_gf(rng)
-        margins = power_inequality_margins(y, 0.3, 2, OperatorKind.RIEMANN_LIOUVILLE)
-        assert power_inequality_margin(
-            y, 0.3, 2, OperatorKind.RIEMANN_LIOUVILLE, 4
-        ) == margins[4]
-        with pytest.raises(IndexError):
-            power_inequality_margin(y, 0.3, 2, OperatorKind.RIEMANN_LIOUVILLE, 99)
-
     def test_odd_power_requires_nonnegative(self):
         y = GridFunction(HGrid(0.0, 1.0, 8), np.linspace(-0.5, 0.5, 8))
         with pytest.raises(NonnegativityError):
@@ -164,7 +152,7 @@ class TestQuadraticFormMargins:
         h = 0.5
         y1 = np.array([0.3, -0.7])
         y = GridFunction(HGrid(0.0, h, 2), np.vstack([np.zeros(2), y1]))
-        margin = quadratic_form_margin(y, p, 1.0, OperatorKind.CAPUTO, 0)
+        margin = quadratic_form_margins(y, p, 1.0, OperatorKind.CAPUTO)[0]
         dy = y1 / h
         assert margin == pytest.approx(0.5 * h * dy @ p @ dy, rel=1e-12)
 

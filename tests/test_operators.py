@@ -201,15 +201,10 @@ class TestDefinitionalEquivalence:
 
 
 class TestDirectConvolution:
-    """The oracles' direct sum, blocked from _FFT_MIN points on, against np.convolve."""
+    """The direct sum, Toeplitz block products at every size, against np.convolve."""
 
-    @pytest.mark.parametrize("n", [
-        _FFT_MIN - 1, _FFT_MIN, _FFT_MIN + 1,
-        17 * _BLOCK_MAX - 1, 17 * _BLOCK_MAX, 17 * _BLOCK_MAX + 1, 4099, 20000,
-    ])
-    @pytest.mark.parametrize("dim", [1, 3])
-    @pytest.mark.parametrize("oracle_kernel", [True, False], ids=["rl-oracle", "binomial"])
-    def test_matches_np_convolve_elementwise(self, n, dim, oracle_kernel):
+    @staticmethod
+    def check(n, dim, oracle_kernel):
         h, nu = 0.5, 0.3
         # The RL oracle's gamma-ratio kernel has negative entries.
         kernel = _kernel(-nu, -nu - 1.0, h, n) if oracle_kernel else binomial_weights(nu, n - 1)
@@ -222,6 +217,21 @@ class TestDirectConvolution:
                 ref = np.convolve(kernel, values[:, j])[:n]
                 scale = np.convolve(np.abs(kernel), np.abs(values[:, j]))[:n]
                 assert np.all(np.abs(actual[:, j] - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [
+        _FFT_MIN - 1, _FFT_MIN, _FFT_MIN + 1,
+        17 * _BLOCK_MAX - 1, 17 * _BLOCK_MAX, 17 * _BLOCK_MAX + 1, 4099, 20000,
+        1, 2, 24, _BLOCK_MAX - 1, _BLOCK_MAX, _BLOCK_MAX + 1, 1000,
+    ])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("oracle_kernel", [True, False], ids=["rl-oracle", "binomial"])
+    def test_matches_np_convolve_elementwise(self, n, dim, oracle_kernel):
+        self.check(n, dim, oracle_kernel)
+
+    @pytest.mark.parametrize("oracle_kernel", [True, False], ids=["rl-oracle", "binomial"])
+    def test_wide_block(self, oracle_kernel):
+        # The shape of one order of a `props` margin suite.
+        self.check(24, 400, oracle_kernel)
 
 
 def _direct_sum(values: np.ndarray, nu: float, h: float) -> np.ndarray:

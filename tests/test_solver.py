@@ -13,12 +13,10 @@ from hfrac import (
     SystemDef,
     binomial_weights,
     caputo_difference,
-    caputo_solve,
     get_builtin,
     reconstruct_from_difference,
     residual_check,
     rl_difference,
-    rl_solve,
     solve,
     write_step_csv,
 )
@@ -59,17 +57,17 @@ def tampered(traj, index):
 class TestFirstSteps:
     def test_linear_first_step(self):
         # componentwise x1 = x0 - x1, solved by hand
-        traj = caputo_solve(get_builtin("ex5.1").system, 3)
+        traj = solve(get_builtin("ex5.1").system, 3)
         assert abs(traj.state(1)[0] - 0.05) <= 1e-12
         assert abs(traj.state(1)[1] - 0.10) <= 1e-12
 
     def test_cubic_first_step_vs_bisection(self):
-        traj = caputo_solve(get_builtin("ex5.3").system, 2)
+        traj = solve(get_builtin("ex5.3").system, 2)
         root = bisect_root(lambda u: u**3 + u - 0.4, 0.0, 1.0, tol=1e-14)
         assert abs(traj.state(1)[0] - root) <= 1e-10
 
     def test_coupled_first_step_vs_damped_fixed_point(self):
-        traj = rl_solve(get_builtin("ex5.2").system, 2)
+        traj = solve(get_builtin("ex5.2").system, 2)
         u, v = 0.05, 0.10
         for _ in range(400):
             u = 0.5 * u + 0.5 * (0.05 - 0.5 * v**16 * u)
@@ -220,17 +218,21 @@ class TestValidationAndFailure:
         with pytest.raises(EquilibriumError):
             scalar_system(OperatorKind.CAPUTO, 0.5, lambda t, x: x + np.nan)
 
-    def test_kind_mismatch(self):
-        sys = scalar_system(OperatorKind.CAPUTO, 0.5, lambda t, x: -x)
-        with pytest.raises(ValueError):
-            rl_solve(sys, 4)
-
     def test_divergence_reported_with_step(self):
         # x = 1 + x + x^2 has no real solution, so the first step must fail
         sys = scalar_system(OperatorKind.CAPUTO, 1.0, lambda t, x: x + x * x, x0=1.0)
         with pytest.raises(SolverDivergenceError) as err:
             solve(sys, 4)
         assert err.value.step == 1
+
+    def test_rhs_arithmetic_error_reported_with_step(self):
+        # The float division 1 / (t - 2.5) raises at the third step, t = 2.5.
+        sys = scalar_system(OperatorKind.RIEMANN_LIOUVILLE, 0.5,
+                            lambda t, x: 1.0 / (t - 2.5) * 0.0 - x)
+        with pytest.raises(SolverDivergenceError, match=r"ZeroDivisionError: .* \(t = 2.5\)") as err:
+            solve(sys, 6)
+        assert err.value.step == 3
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
