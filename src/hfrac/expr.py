@@ -381,8 +381,8 @@ def _generate(exprs: tuple[Expr, ...], dim: int, batch: bool):
         tail += [f"    out[:, {i}] = {v}" for i, v in enumerate(outs)]
         tail.append("    return out")
     else:
-        head = ["def f(t, x):", f"    {names}= np.asarray(x, dtype=float).tolist()"]
-        tail = [f"    return np.array([{', '.join(outs)}])"]
+        head = ["def f(t, x):", f"    {names}= x"]
+        tail = [f"    return [{', '.join(outs)}]"]
     namespace = {"np": np, "_div": _div_batch if batch else _div, "_pow": _pow_batch}
     exec(compile("\n".join(head + em.lines + tail) + "\n", "<hfrac.expr>", "exec"), namespace)
     return namespace["f"]
@@ -393,20 +393,26 @@ def compile_rhs(exprs: tuple[Expr, ...], dim: int):
 
     Returns the scalar form rhs(t, x) -> (len(exprs),), which performs the
     same IEEE operations in the same order as :func:`evaluate` and so agrees
-    with it bit for bit.  Its attribute ``batch(t, points)`` maps points
-    (B, dim) to (B, len(exprs)), with `t` one time or one per point.  It
-    agrees with the scalar form bit for bit too, and raises the same errors
-    on a zero denominator (:class:`ExprEvalError`) or an overflowing power
-    (``OverflowError``).
+    with it bit for bit.  It is a thin wrapper around the generated
+    attribute ``floats(t, xs)``, which maps a list of `dim` Python floats to
+    a list of len(exprs) floats with no numpy call (the solver's step runs
+    on it).  The attribute ``batch(t, points)`` maps points (B, dim) to
+    (B, len(exprs)), with `t` one time or one per point.  All three forms
+    agree bit for bit, and raise the same errors on a zero denominator
+    (:class:`ExprEvalError`) or an overflowing power (``OverflowError``).
     """
     exprs = tuple(exprs)
-    rhs = _generate(exprs, dim, batch=False)
+    floats = _generate(exprs, dim, batch=False)
     batch = _generate(exprs, dim, batch=True)
+
+    def rhs(t, x) -> np.ndarray:
+        return np.array(floats(t, np.asarray(x, dtype=float).tolist()))
 
     def rhs_batch(t, points) -> np.ndarray:
         with np.errstate(all="ignore"):  # the scalar form's float ops warn of nothing
             return batch(t, np.asarray(points, dtype=float))
 
+    rhs.floats = floats
     rhs.batch = rhs_batch
     return rhs
 

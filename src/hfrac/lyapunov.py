@@ -430,9 +430,27 @@ def _condition_values(
         raise TypeError(f"unsupported condition {condition!r}")
     values = None
     for t in times:
-        v = value(sys.eval_rhs_batch(t, points))
+        try:
+            f = sys.eval_rhs_batch(t, points)
+        except ArithmeticError as err:  # overflow or division by zero in the rhs
+            raise _sampling_error(sys, t, points, err) from err
+        v = value(f)
         values = v if values is None else np.where((v > values) | np.isnan(v), v, values)
     return values
+
+
+def _sampling_error(sys: SystemDef, t, points: np.ndarray, err: ArithmeticError) -> ValueError:
+    """A ValueError naming the first point whose own evaluation at `t` raises
+    (`err` came from a call over all of `points`)."""
+    for point in points:
+        try:
+            sys.eval_rhs(t, point)
+        except ArithmeticError as one:
+            err, where = one, f"sample point {point.tolist()}"
+            break
+    else:
+        where = "a sample point"
+    return ValueError(f"rhs raised {type(err).__name__}: {err} at {where} (t = {t!r})")
 
 
 def certify_theorem(

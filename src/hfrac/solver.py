@@ -17,6 +17,13 @@ convolution with the binomial weights w = C(n+nu-1, n):
 The newest term has weight w[0] = 1, so every step is an implicit equation,
 solved by a damped chord-Newton iteration whose matrix (I - h^nu J)^-1 is
 carried from step to step and rebuilt only when it stops contracting well.
+
+A state has few components, so a numpy call would cost more than its
+arithmetic, and the step runs on lists of Python floats.  numpy does only
+the history sum, the chord product (I - h^nu J)^-1 g and the Jacobian with
+its inverse.  Every other operation is the same IEEE operation on each
+component, in the same order, as on arrays; numpy's matrix products may fuse
+multiply-adds, so they are never replaced by Python sums.
 """
 
 from __future__ import annotations
@@ -179,51 +186,66 @@ class Trajectory:
         return self.states.values[n]
 
 
-def _inf_norm(v: np.ndarray) -> float:
+def _inf_norm(v: list) -> float:
     """max |v_i|, or inf if any entry is not finite (max alone can skip a NaN)."""
-    vals = v.tolist()  # Python's max beats numpy's call overhead on a state
-    return max(map(abs, vals)) if math.isfinite(sum(vals)) else math.inf
+    return max(map(abs, v)) if math.isfinite(sum(v)) else math.inf
 
 
-def _check_finite(step: int, t: float, x: np.ndarray, fx: np.ndarray) -> None:
+def _check_finite(step: int, t: float, x: list, fx: list) -> None:
     """Fail at a non-finite rhs value taken at a finite state."""
-    if np.all(np.isfinite(x)) and not np.all(np.isfinite(fx)):
-        msg = f"rhs returned a non-finite value {fx} at step {step} (t = {t!r})"
+    if all(map(math.isfinite, x)) and not all(map(math.isfinite, fx)):
+        msg = f"rhs returned a non-finite value {np.array(fx)} at step {step} (t = {t!r})"
         raise SolverDivergenceError(step, math.nan, msg)
 
 
-def _iteration_matrix(sys: SystemDef, step: int, t: float, x: np.ndarray,
-                      fx: np.ndarray, scale: float) -> np.ndarray:
+FloatRhs = Callable[[float, list], list]
+
+
+def _float_rhs(sys: SystemDef) -> FloatRhs:
+    """f as a map of float lists: a compiled rhs's ``floats`` form, or else
+    :meth:`SystemDef.eval_rhs` (with its shape check) on an array."""
+    floats = getattr(sys.rhs, "floats", None)
+    if floats is not None:
+        return floats
+    return lambda t, x: sys.eval_rhs(t, np.array(x)).tolist()
+
+
+def _iteration_matrix(f: FloatRhs, step: int, t: float, x: list, fx: list,
+                      scale: float) -> np.ndarray:
     """(I - scale*J)^-1, J by forward differences of step 1e-7*max(1, |x_j|)."""
-    jac = np.empty((sys.dim, sys.dim))
-    for j in range(sys.dim):
-        xj = x.copy()
+    dim = len(x)
+    jac = np.empty((dim, dim))
+    for j in range(dim):
+        xj = list(x)
         xj[j] += 1e-7 * max(1.0, abs(x[j]))
-        fj = sys.eval_rhs(t, xj)
+        fj = f(t, xj)
         _check_finite(step, t, xj, fj)
-        jac[:, j] = (fj - fx) / (xj[j] - x[j])
+        dx = xj[j] - x[j]
+        jac[:, j] = [(a - b) / dx for a, b in zip(fj, fx)]
     try:
-        return np.linalg.inv(np.eye(sys.dim) - scale * jac)
+        return np.linalg.inv(np.eye(dim) - scale * jac)
     except np.linalg.LinAlgError:
         msg = f"singular iteration matrix I - h^nu J at step {step} (t = {t!r})"
         raise SolverDivergenceError(step, math.nan, msg) from None
 
 
 def _implicit_step(
-    sys: SystemDef, step: int, t: float, known: np.ndarray, scale: float,
-    x: np.ndarray, inv: np.ndarray | None, tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, StepRecord]:
-    """Solve x = known + scale * rhs(t, x) to residual <= tol by chord Newton.
+    f: FloatRhs, step: int, t: float, known: list, scale: float,
+    x: list, inv: np.ndarray | None, tol: float,
+) -> tuple[list, list, np.ndarray | None, StepRecord]:
+    """Solve x = known + scale * f(t, x) to residual <= tol by chord Newton.
 
     Steps x <- x - inv @ g(x) from `x`, with inv = (I - scale*J)^-1 from an
     earlier step (None builds one).  An iterate that cuts the residual by less
     than _CONTRACTION is kept only if it lowers it; then a matrix built
     elsewhere is rebuilt at the better point, and one built here halves its
-    step.  Returns the root, rhs there, the matrix and the step record, which
-    counts each iterate tried (one rhs evaluation) as an iteration.
+    step.  Returns the root, f there, the matrix and the step record, which
+    counts each iterate tried (one rhs evaluation) as an iteration.  States
+    are float lists and `f` maps them to float lists (see `_float_rhs`);
+    only inv @ g and the matrix build run in numpy.
     """
-    fx = sys.eval_rhs(t, x)
-    g = x - known - scale * fx
+    fx = f(t, x)
+    g = [xi - ki - scale * fi for xi, ki, fi in zip(x, known, fx)]
     gn = _inf_norm(g)
     if not math.isfinite(gn):
         _check_finite(step, t, x, fx)
@@ -233,19 +255,19 @@ def _implicit_step(
             raise SolverDivergenceError(step, gn)
         iters += 1
         if inv is None:
-            inv, fresh = _iteration_matrix(sys, step, t, x, fx, scale), True
+            inv, fresh = _iteration_matrix(f, step, t, x, fx, scale), True
         if p is None:
-            p = inv @ g
-        x_new = x - p
-        f_new = sys.eval_rhs(t, x_new)
-        g_new = x_new - known - scale * f_new
+            p = (inv @ np.array(g)).tolist()
+        x_new = [xi - pi for xi, pi in zip(x, p)]
+        f_new = f(t, x_new)
+        g_new = [xi - ki - scale * fi for xi, ki, fi in zip(x_new, known, f_new)]
         gn_new = _inf_norm(g_new)
         if gn_new <= tol or gn_new <= _CONTRACTION * gn or (fresh and gn_new < gn):
             x, fx, g, gn, fresh, p = x_new, f_new, g_new, gn_new, False, None
             continue
         _check_finite(step, t, x_new, f_new)
         if fresh:
-            p = 0.5 * p
+            p = [0.5 * pi for pi in p]
             continue
         if gn_new < gn:
             x, fx, g, gn = x_new, f_new, g_new, gn_new
@@ -263,22 +285,32 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     # Reversed once, so each step's history sum is a contiguous dot product:
     # rev[n_steps-n+1 : n_steps] = weights[n-1], ..., weights[1].
     rev = weights[::-1].copy()
-    scale = sys.h**sys.nu
+    scale = float(sys.h**sys.nu)
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = sys.x0
     history = np.empty((n_steps, sys.dim))
     records: list[StepRecord] = []
     caputo = sys.kind is OperatorKind.CAPUTO
+    f = _float_rhs(sys)
+    x0 = prev = x = sys.x0.tolist()
     inv = None
     try:
         for n in range(1, n_steps + 1):
-            base = states[0] if caputo else weights[n] * states[0]
-            memory = scale * (rev[n_steps - n + 1 : n_steps] @ history[: n - 1])
+            if caputo:
+                base = x0
+            else:
+                w = float(weights[n])
+                base = [w * v for v in x0]
+            memory = (rev[n_steps - n + 1 : n_steps] @ history[: n - 1]).tolist()
+            known = [b + scale * m for b, m in zip(base, memory)]
             # Linear extrapolation of the last two states starts the iteration.
-            start = 2.0 * states[n - 1] - states[n - 2] if n >= 2 else states[0]
-            states[n], history[n - 1], inv, record = _implicit_step(
-                sys, n, sys.shifted_time(n - 1), base + memory, scale, start, inv, tol
+            start = [2.0 * u - v for u, v in zip(x, prev)] if n >= 2 else x0
+            prev = x
+            x, fx, inv, record = _implicit_step(
+                f, n, sys.shifted_time(n - 1), known, scale, start, inv, tol
             )
+            states[n] = x
+            history[n - 1] = fx
             records.append(record)
     except ArithmeticError as err:  # overflow or division by zero in the rhs
         t = sys.shifted_time(n - 1)

@@ -306,6 +306,20 @@ class TestRhsRaises:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "step 1 " in err and "t = 0.5" in err and what in err
 
+    def test_certify_sampling(self, tmp_path, capsys):
+        # (x1*1e200)^2 overflows at every nonzero sample: once a 25-line
+        # OverflowError traceback from the batch form, with exit 1.
+        path = tmp_path / "f.txt"
+        path.write_text(STABLE_FILE.replace("x0=0.3", "x0=0.1")
+                        .replace("f1=-x1", "f1=-x1*(x1*1e200)^2"))
+        code = main(["certify", "--file", str(path), "--trials", "200"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        err = captured.err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "OverflowError" in err and "sample point [" in err and "t = 0.5" in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self):

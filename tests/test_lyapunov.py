@@ -309,6 +309,46 @@ class TestBatchedSuites:
         assert all(row.split()[1:] == ["nan", "FAIL"] for row in rows)
 
 
+class TestMarginColumns:
+    """Each margin series of a 400-column call against the same series in a
+    call of its own and in a pair, bit for bit.  Like the suite tests above,
+    this rests on the BLAS summing each column's Toeplitz block products in
+    the same order whatever the number of columns."""
+
+    N_POINTS, COLUMNS = 24, 400
+
+    @pytest.mark.parametrize("power", [2, 3, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_power_margins(self, kind, power):
+        grid = HGrid(0.0, 1.0, self.N_POINTS)
+        low = 0.0 if power % 2 else -1.0
+        y = np.random.default_rng(power).uniform(low, 1.0, size=(self.N_POINTS, self.COLUMNS))
+        for nu in (0.37, 1.0):
+            full = lyapunov._power_margins(grid, y, nu, power, kind)
+            for j in range(self.COLUMNS):
+                one = lyapunov._power_margins(grid, y[:, j : j + 1], nu, power, kind)
+                assert one[:, 0].tobytes() == full[:, j].tobytes()
+            for j in range(0, self.COLUMNS, 2):
+                two = lyapunov._power_margins(grid, y[:, j : j + 2], nu, power, kind)
+                assert two.tobytes() == np.ascontiguousarray(full[:, j : j + 2]).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quadratic_margins(self, kind, dim):
+        grid = HGrid(0.0, 1.0, self.N_POINTS)
+        rng = np.random.default_rng(dim)
+        y = rng.uniform(-1.0, 1.0, size=(self.COLUMNS, self.N_POINTS, dim))
+        p = np.stack([random_spd_matrix(dim, rng) for _ in range(self.COLUMNS)])
+        for nu in (0.37, 1.0):
+            (full,) = lyapunov._quadratic_margins(grid, [(y, p)], nu, kind)
+            for j in range(self.COLUMNS):
+                (one,) = lyapunov._quadratic_margins(grid, [(y[j : j + 1], p[j : j + 1])], nu, kind)
+                assert one[0].tobytes() == full[j].tobytes()
+            for j in range(0, self.COLUMNS, 2):
+                (two,) = lyapunov._quadratic_margins(grid, [(y[j : j + 2], p[j : j + 2])], nu, kind)
+                assert two.tobytes() == full[j : j + 2].tobytes()
+
+
 class TestStackedDefiniteness:
     """The stacked eigvalsh check against Jacobi rotations, matrix by matrix."""
 
@@ -485,6 +525,27 @@ class TestBatchedRoutes:
         per_point = certify_theorem(_per_point(b.system), b.condition, sampler)
         assert batched.margins.tobytes() == per_point.margins.tobytes()
         assert batched.to_text() == per_point.to_text()
+
+    @pytest.mark.parametrize("route", ["batched", "per-point"])
+    def test_sampling_error_names_first_raising_point(self, route):
+        # At t = 0.5 nothing overflows; at t = 1.5 the square overflows
+        # wherever |x1| > 0.894, so the error names neither the first time
+        # nor the first point.
+        sys = parse_system_source(
+            "kind=caputo\nnu=0.5\nh=1\na=0\nx0=0.1\nf1=-x1-x1*(x1*t*1e154)^2\n")[0]
+        if route == "per-point":
+            sys = _per_point(sys)
+        sampler = LatticeSampler(count=500, seed=2, time_points=3)
+        points = 2.0 * lattice_points(1, sampler.count, sampler.seed) - 1.0
+        first = next(x for (x,) in points if abs(x * 1.5) * 1e154 > math.sqrt(np.finfo(float).max))
+        assert abs(points[0, 0]) < 0.894
+        with pytest.raises(ValueError) as err:
+            certify_theorem(sys, QuadraticCondition(np.eye(1)), sampler)
+        assert str(err.value) == (
+            "rhs raised OverflowError: (34, 'Numerical result out of range') "
+            f"at sample point [{float(first)!r}] (t = 1.5)"
+        )
+        assert isinstance(err.value.__cause__, OverflowError)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_residual_check_bitwise(self, dim):

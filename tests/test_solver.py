@@ -1,8 +1,12 @@
 """Tests for the convolution-quadrature solver and its inversion helpers."""
 
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import solver_oracle
 from hfrac import (
     EquilibriumError,
     GridFunction,
@@ -20,6 +24,7 @@ from hfrac import (
     solve,
     write_step_csv,
 )
+from hfrac.expr import build_system
 
 
 def bisect_root(fn, lo, hi, tol=1e-12):
@@ -342,3 +347,95 @@ class TestStepCsv:
         assert len(lines) == 7
         step, iters, residual = lines[1].split(",")
         assert int(step) == 1 and int(iters) >= 1 and float(residual) <= 1e-12
+
+
+def _outcome(solver, sys, n_steps):
+    """A solve's states and step records as bytes, or its failure."""
+    try:
+        traj = solver(sys, n_steps)
+    except SolverDivergenceError as err:
+        cause = type(err.__cause__).__name__ if err.__cause__ is not None else None
+        return ("raised", err.step, str(err), np.float64(err.residual).tobytes(), cause)
+    records = [(r.index, r.iterations, np.float64(r.residual).tobytes(), r.method)
+               for r in traj.steps]
+    return ("solved", traj.states.values.tobytes(), records)
+
+
+def _linear_systems(kind):
+    """Diagonal and non-normal f = A x of dimensions 1-4, with diagonals
+    spread from -1e6 to -1, as expression systems and numpy callables."""
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 3, 4):
+        for non_normal in (False, True):
+            a = -np.diag(np.geomspace(1e6, 1.0, dim))
+            if non_normal:
+                a += np.triu(rng.normal(size=(dim, dim)) * 1e4, 1)
+            x0 = rng.uniform(-1.0, 1.0, dim)
+            nu = float(rng.uniform(0.2, 1.0))
+            sources = ["+".join(f"({float(a[i, j])!r})*x{j + 1}" for j in range(dim))
+                       for i in range(dim)]
+            yield build_system(kind, nu, 0.0, 1.0, x0, sources)
+            yield SystemDef(dim, kind, nu, 0.0, 1.0, x0, lambda t, x, a=a: a @ x)
+
+
+class TestFloatStep:
+    """The step on Python floats against the array step it replaced
+    (tests/solver_oracle.py): the same states, step records and failures,
+    bit for bit.  numpy's @ may fuse multiply-adds, so this holds because
+    both routes leave the history sum and inv @ g to the same BLAS calls."""
+
+    @pytest.mark.parametrize("key", ["ex5.1", "ex5.2", "ex5.3", "ex5.4"])
+    def test_builtins(self, key):
+        sys = get_builtin(key).system
+        assert _outcome(solve, sys, 1000) == _outcome(solver_oracle.solve, sys, 1000)
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_linear_and_stiff_systems(self, kind):
+        stiff = [
+            build_system(kind, 0.6, 0.0, 1.0, [2.0, -1.0], ["-1000*x1^3+x2", "-x2^5-50*x1"]),
+            build_system(kind, 0.5, 0.0, 1.0, [1.0], ["-1000000*x1^3"]),
+        ]
+        counts = Counter()
+        oracle = functools.partial(solver_oracle.solve, counts=counts)
+        for sys in [*_linear_systems(kind), *stiff]:
+            assert _outcome(solve, sys, 150) == _outcome(oracle, sys, 150)
+        # Both systems of stiff cubics rebuild the matrix and halve steps.
+        assert counts["builds"] > 100
+        assert counts["halvings"] > 0
+
+    def test_time_dependent_expression(self):
+        sys = build_system(OperatorKind.CAPUTO, 0.7, 0.3, 0.5, [0.3, -0.2],
+                           ["-(1+t/(1+t))*x1+0.1*t*x2^3", "-x2*(2+x1^2)"])
+        assert sys.time_dependent
+        assert _outcome(solve, sys, 300) == _outcome(solver_oracle.solve, sys, 300)
+
+    def test_plain_numpy_callable(self):
+        sys = SystemDef(2, OperatorKind.RIEMANN_LIOUVILLE, 0.4, 0.0, 0.7, [0.5, 0.5],
+                        lambda t, x: -x**3 - 3.0 * np.array([x[1], -x[0]]))
+        assert _outcome(solve, sys, 300) == _outcome(solver_oracle.solve, sys, 300)
+
+    @pytest.mark.parametrize("case", [
+        "non-finite", "non-finite-callable", "newton-cap", "newton-cap-callable",
+        "singular", "singular-callable", "zero-division", "zero-division-callable",
+        "overflow",
+    ])
+    def test_same_failure(self, case):
+        kind = OperatorKind.CAPUTO
+        systems = {
+            "non-finite": build_system(kind, 0.5, 0.0, 1.0, [0.1], ["-x1*1e308*1e308"]),
+            "non-finite-callable": scalar_system(
+                kind, 0.5, lambda t, x: -x if t < 2.0 else np.where(x == 0.0, 0.0, np.nan)),
+            "newton-cap": build_system(kind, 1.0, 0.0, 1.0, [1.0], ["x1+x1^2"]),
+            "newton-cap-callable": scalar_system(kind, 1.0, lambda t, x: x + x * x),
+            # I - h^nu J = 0: the forward difference of f = x is exactly 1.
+            "singular": build_system(kind, 1.0, 0.0, 1.0, [1.0, 2.0], ["x1", "x2"]),
+            "singular-callable": scalar_system(kind, 1.0, lambda t, x: x),
+            "zero-division": build_system(kind, 0.5, 0.0, 1.0, [1.0], ["x1/(t-2.5)-x1"]),
+            "zero-division-callable": scalar_system(
+                kind, 0.5, lambda t, x: 1.0 / (t - 2.5) * 0.0 - x),
+            "overflow": build_system(kind, 0.5, 0.0, 1.0, [1e300], ["-x1^3"]),
+        }
+        sys = systems[case]
+        outcome = _outcome(solve, sys, 8)
+        assert outcome[0] == "raised"
+        assert outcome == _outcome(solver_oracle.solve, sys, 8)
