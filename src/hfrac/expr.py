@@ -33,7 +33,8 @@ from typing import Union
 
 import numpy as np
 
-from .solver import OperatorKind, SystemDef
+from .operators import OperatorKind
+from .solver import SystemDef
 
 __all__ = [
     "ExprSyntaxError",
@@ -454,13 +455,7 @@ def parse_system_source(text: str) -> tuple[SystemDef, tuple[str, ...]]:
     for required in ("kind", "nu", "h", "a", "x0"):
         if required not in headers:
             raise ValueError(f"missing header line {required}=")
-    kind_text = headers["kind"].lower()
-    if kind_text == "caputo":
-        kind = OperatorKind.CAPUTO
-    elif kind_text == "rl":
-        kind = OperatorKind.RIEMANN_LIOUVILLE
-    else:
-        raise ValueError(f"kind must be caputo or rl, got {headers['kind']!r}")
+    kind = OperatorKind(headers["kind"])
     x0 = np.array([float(v) for v in headers["x0"].split(",")])
     dim = len(x0)
     missing = [i for i in range(1, dim + 1) if i not in components]

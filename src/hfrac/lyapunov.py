@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import GridFunction, HGrid, caputo_difference, rl_difference
-from .solver import OperatorKind, SystemDef, Trajectory, solve
+from .operators import GridFunction, HGrid, OperatorKind
+from .solver import SystemDef, Trajectory, solve
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -90,8 +90,9 @@ def _check_psd(p) -> np.ndarray:
     return p
 
 
-def _difference_op(kind: OperatorKind):
-    return caputo_difference if kind is OperatorKind.CAPUTO else rl_difference
+def _check_slack(slack: float) -> None:
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise ValueError(f"slack must be finite and >= 0, got slack = {slack!r}")
 
 
 def _check_power(power: int) -> None:
@@ -117,7 +118,7 @@ def _power_margins(
     block `y`, from one operator call on the columns [y, y^p]; (n-1, B)."""
     b = y.shape[1]
     values = np.hstack([y, y**power])
-    d = _difference_op(kind)(GridFunction(grid, values), nu).values
+    d = kind.difference(GridFunction(grid, values), nu).values
     return power * y[1:] ** (power - 1) * d[:, :b] - d[:, b:]
 
 
@@ -133,7 +134,7 @@ def _quadratic_margins(grid: HGrid, blocks, nu: float, kind: OperatorKind) -> li
     for y, p in blocks:
         columns.append(y.transpose(1, 0, 2).reshape(n, -1))
         columns.append(np.einsum("bki,bij,bkj->bk", y, p, y).T)
-    d = _difference_op(kind)(GridFunction(grid, np.hstack(columns)), nu).values
+    d = kind.difference(GridFunction(grid, np.hstack(columns)), nu).values
     margins, start = [], 0
     for y, p in blocks:
         b, _, dim = y.shape
@@ -358,8 +359,8 @@ class LatticeSampler:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"need at least one sample, got {self.count}")
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
         if self.time_points < 1:
             raise ValueError(f"need at least one time point, got {self.time_points}")
 
@@ -468,8 +469,7 @@ def certify_theorem(
     negativity at every nonzero sample and a confirming trajectory whose
     final norm drops below 1e-2 of the initial norm.
     """
-    if not (math.isfinite(slack) and slack >= 0.0):
-        raise ValueError(f"slack must be finite and >= 0, got slack = {slack!r}")
+    _check_slack(slack)
     sampler = LatticeSampler() if sampler is None else sampler
     if isinstance(condition, QuadraticCondition) and condition.matrix.shape[0] != sys.dim:
         raise ValueError("condition matrix dimension does not match the system")
@@ -541,6 +541,7 @@ class DecayReport:
 
 def decay_report(traj: Trajectory, p=None, *, slack: float = MARGIN_SLACK) -> DecayReport:
     """Norm and Lyapunov-value history of a solved trajectory (P defaults to I)."""
+    _check_slack(slack)
     states = traj.states.values
     if p is None:
         p = np.eye(states.shape[1])

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import math
-import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,10 +38,9 @@ import numpy as np
 from .operators import (
     GridFunction,
     HGrid,
+    OperatorKind,
     ShiftedGridFunction,
-    caputo_difference_direct,
     fractional_sum,
-    rl_difference_direct,
 )
 from .special import binomial_weights
 
@@ -62,11 +60,6 @@ __all__ = [
 DEFAULT_STEP_TOL = 1e-12
 _NEWTON_CAP = 100
 _CONTRACTION = 1e-3
-
-
-class OperatorKind(enum.Enum):
-    CAPUTO = "caputo"
-    RIEMANN_LIOUVILLE = "rl"
 
 
 class SolverDivergenceError(RuntimeError):
@@ -290,19 +283,15 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     states[0] = sys.x0
     history = np.empty((n_steps, sys.dim))
     records: list[StepRecord] = []
-    caputo = sys.kind is OperatorKind.CAPUTO
+    coef = sys.kind.x0_weights(weights)
     f = _float_rhs(sys)
     x0 = prev = x = sys.x0.tolist()
     inv = None
     try:
         for n in range(1, n_steps + 1):
-            if caputo:
-                base = x0
-            else:
-                w = float(weights[n])
-                base = [w * v for v in x0]
+            c = float(coef[n])
             memory = (rev[n_steps - n + 1 : n_steps] @ history[: n - 1]).tolist()
-            known = [b + scale * m for b, m in zip(base, memory)]
+            known = [c * b + scale * m for b, m in zip(x0, memory)]
             # Linear extrapolation of the last two states starts the iteration.
             start = [2.0 * u - v for u, v in zip(x, prev)] if n >= 2 else x0
             prev = x
@@ -332,8 +321,7 @@ def residual_check(traj: Trajectory) -> float:
     sys = traj.system
     if traj.n_steps < 1:
         return 0.0
-    op = caputo_difference_direct if sys.kind is OperatorKind.CAPUTO else rl_difference_direct
-    g = op(traj.states, sys.nu)
+    g = sys.kind.direct(traj.states, sys.nu)
     times = sys.shifted_time(np.arange(g.n_points))
     rhs = sys.eval_rhs_batch(times, traj.states.values[1:])
     return float(np.max(np.abs(g.values - rhs)))
@@ -357,11 +345,10 @@ def reconstruct_from_difference(
     m = g.n_points
     grid = g.base_grid
     memory = fractional_sum(GridFunction(HGrid(grid.a, grid.h, m), g.values), nu)
-    if kind is OperatorKind.CAPUTO:
-        base = x0
-    else:
-        base = binomial_weights(nu, m)[1:, None] * x0
-    states = np.vstack([x0, base + memory.values])
+    # In place, as a temporary costs as much as the sums; w[0] = 1 makes row 0 x0.
+    states = np.empty((m + 1, g.dim))
+    np.multiply(kind.x0_weights(binomial_weights(nu, m))[:, None], x0, out=states)
+    states[1:] += memory.values
     return GridFunction(HGrid(grid.a, grid.h, m + 1), states)
 
 

@@ -261,8 +261,15 @@ class TestSystemFiles:
             parse_system_source("kind=caputo\nh=1\na=0\nx0=1\nf1=-x1\n")
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            parse_system_source("kind=weird\nnu=0.5\nh=1\na=0\nx0=1\nf1=-x1\n")
+        with pytest.raises(ValueError) as err:
+            parse_system_source("kind=Weird\nnu=0.5\nh=1\na=0\nx0=1\nf1=-x1\n")
+        assert str(err.value) == "kind must be caputo or rl, got 'Weird'"
+
+    @pytest.mark.parametrize("text, kind", [("Caputo", OperatorKind.CAPUTO),
+                                            ("RL", OperatorKind.RIEMANN_LIOUVILLE)])
+    def test_kind_in_any_case(self, text, kind):
+        sysdef, _ = parse_system_source(f"kind={text}\nnu=0.5\nh=1\na=0\nx0=1\nf1=-x1\n")
+        assert sysdef.kind is kind
 
     def test_missing_component(self):
         src = "kind=caputo\nnu=0.5\nh=1\na=0\nx0=1,2\nf1=-x1\n"

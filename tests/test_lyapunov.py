@@ -31,7 +31,7 @@ from hfrac import (
     residual_check,
     solve,
 )
-from hfrac import lyapunov
+from hfrac import lyapunov, operators
 from hfrac.operators import ShiftedGridFunction, caputo_difference, rl_difference
 from jacobi_oracle import jacobi_diagonalize
 
@@ -286,9 +286,9 @@ class TestBatchedSuites:
     def test_nan_margin_fails(self, kind, monkeypatch, capsys):
         # One NaN among an order's finite margins.  Python's min() skipped
         # it, so the suites returned a finite worst and `props` printed ok.
-        real = lyapunov._difference_op(kind)
-
-        def nan_op(kind):
+        # The suites reach the differences through OperatorKind.difference,
+        # which reads them from the operators module when called.
+        def nan_op(real):
             def op(f, nu):
                 d = real(f, nu)
                 values = d.values.copy()
@@ -296,7 +296,9 @@ class TestBatchedSuites:
                 return ShiftedGridFunction(d.base_grid, d.offset, values)
             return op
 
-        monkeypatch.setattr(lyapunov, "_difference_op", nan_op)
+        for name, real in (("caputo_difference", caputo_difference),
+                           ("rl_difference", rl_difference)):
+            monkeypatch.setattr(operators, name, nan_op(real))
         rng = np.random.default_rng(3)
         assert math.isnan(power_margin_suite(kind, 3, trials=5, rng=rng))
         assert math.isnan(power_margin_suite(kind, 2, trials=5, rng=rng))
@@ -392,6 +394,13 @@ class TestLattice:
     def test_sampler_validation(self, field):
         with pytest.raises(ValueError):
             LatticeSampler(**{field: 0})
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_radius_rejected(self, radius):
+        # radius = nan or inf once returned `inconclusive` with a worst
+        # margin of nan or -inf instead of failing.
+        with pytest.raises(ValueError, match="radius"):
+            LatticeSampler(radius=radius)
 
 
 class TestCertificates:
@@ -604,3 +613,10 @@ class TestDecayReport:
     def test_summary_text(self):
         traj = solve(get_builtin("ex5.2").system, 10)
         assert "V<=V(0)" in decay_report(traj).summary()
+
+    @pytest.mark.parametrize("slack", [np.nan, np.inf, -1e-10])
+    def test_invalid_slack_rejected(self, slack):
+        # slack = nan once reported V<=V(0) False on a decaying trajectory.
+        traj = solve(get_builtin("ex5.1").system, 10)
+        with pytest.raises(ValueError, match="slack"):
+            decay_report(traj, slack=slack)

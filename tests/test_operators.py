@@ -368,26 +368,58 @@ class TestSummationByParts:
             grid = HGrid(0.0, float(rng.choice([0.5, 1.0])), 16)
             x = GridFunction(grid, rng.uniform(-1, 1, 16))
             y = GridFunction(grid, rng.uniform(-1, 1, 16))
-            assert summation_by_parts_residual(x, y, 0.5) <= 1e-10
+            assert summation_by_parts_residual(x, y) <= 1e-10
 
     def test_zero_x_exact(self):
         grid = HGrid(0.0, 1.0, 10)
         x = GridFunction(grid, np.zeros(10))
         y = GridFunction(grid, np.arange(10.0))
-        assert summation_by_parts_residual(x, y, 0.3) == 0.0
+        assert summation_by_parts_residual(x, y) == 0.0
 
     def test_constant_y(self):
         rng = np.random.default_rng(3)
         grid = HGrid(0.0, 1.0, 12)
         x = GridFunction(grid, rng.uniform(-1, 1, 12))
         y = GridFunction(grid, np.full(12, 2.5))
-        assert summation_by_parts_residual(x, y, 0.7) <= 1e-12
+        assert summation_by_parts_residual(x, y) <= 1e-12
 
     def test_grid_mismatch(self):
         x = GridFunction(HGrid(0.0, 1.0, 8), np.zeros(8))
         y = GridFunction(HGrid(0.0, 0.5, 8), np.zeros(8))
         with pytest.raises(GridMismatchError):
-            summation_by_parts_residual(x, y, 0.5)
+            summation_by_parts_residual(x, y)
+
+
+class TestOperatorKind:
+    def test_entries(self):
+        assert OperatorKind.CAPUTO.difference is caputo_difference
+        assert OperatorKind.CAPUTO.direct is caputo_difference_direct
+        assert OperatorKind.RIEMANN_LIOUVILLE.difference is rl_difference
+        assert OperatorKind.RIEMANN_LIOUVILLE.direct is rl_difference_direct
+
+    def test_x0_weights(self):
+        w = binomial_weights(0.3, 6)
+        np.testing.assert_array_equal(OperatorKind.CAPUTO.x0_weights(w), np.ones(7))
+        np.testing.assert_array_equal(OperatorKind.RIEMANN_LIOUVILLE.x0_weights(w), w)
+
+    def test_one_enum_everywhere(self):
+        from hfrac import operators, solver
+
+        assert solver.OperatorKind is operators.OperatorKind is OperatorKind
+
+    def test_entries_read_module_globals(self, monkeypatch):
+        from hfrac import operators
+
+        def wrapped(f, nu):
+            return caputo_difference(f, nu)
+
+        monkeypatch.setattr(operators, "caputo_difference", wrapped)
+        assert OperatorKind.CAPUTO.difference is wrapped
+
+    @pytest.mark.parametrize("value", ["weird", 1, None])
+    def test_unknown_value(self, value):
+        with pytest.raises(ValueError, match="kind must be caputo or rl"):
+            OperatorKind(value)
 
 
 class TestCsv:
