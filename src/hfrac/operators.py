@@ -243,6 +243,31 @@ def _convolve_direct(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _block_products(kernel, values, b, blocks, blocks)[:n]
 
 
+def _tiling(n: int) -> tuple[int, int]:
+    """Diagonal block width and number of square widths, block << levels >= n;
+    below ``_FFT_MIN`` points the block is the whole series, with no squares."""
+    if n < _FFT_MIN:
+        return n, 0
+    levels = 0
+    while n > _BLOCK_MAX << levels:
+        levels += 1
+    # A multiple of 16 keeps every transform length free of large primes.
+    return -(-n // (16 << levels)) * 16, levels
+
+
+def _square_spectrum(kernel: np.ndarray, width: int) -> np.ndarray:
+    """Spectrum of the lags 1 .. 2*width-1 that a square of `width` spans."""
+    return np.fft.rfft(kernel[1 : 2 * width], 2 * width)
+
+
+def _square(spectrum: np.ndarray, samples: np.ndarray, width: int) -> np.ndarray:
+    """Outputs s+width .. s+2*width-1 of a square from its samples [s, s+width)
+    on the last axis: with the lags moved down by one, output s+width+i is
+    index width-1+i of the transform, which the circular wrap misses."""
+    column = np.fft.rfft(samples, 2 * width) * spectrum
+    return np.fft.irfft(column, 2 * width)[..., width - 1 : -1]
+
+
 def _convolve_columns(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Causal convolution of each column with the n-point `kernel`, n = len(values).
 
@@ -254,32 +279,23 @@ def _convolve_columns(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     width w = block, 2 block, 4 block, ... at a time: O(n log^2 n).  A
     square reads only samples before its outputs, so an output's rounding
     error scales with the samples up to it, as in the direct sum, and not
-    with later, larger ones.
+    with later, larger ones; ``solve`` tiles its history sums alike.
     """
     n, dim = values.shape
-    if n < _FFT_MIN:
+    block, levels = _tiling(n)
+    if not levels:
         return _convolve_direct(kernel, values)
-    levels = 0
-    while n > _BLOCK_MAX << levels:
-        levels += 1
-    # A multiple of 16 keeps every transform length free of large primes.
-    block = -(-n // (16 << levels)) * 16
     size = block << levels
     # The diagonal blocks of the zero-padded series; the squares add the rest.
     out = _block_products(kernel, values, block, 1 << levels, 1)
     width = block
     while width < size:
-        # Lags 1 .. 2*width-1, moved down by one: the square's output
-        # s+width+i comes out at index width-1+i of the transform.
-        spectrum = np.fft.rfft(kernel[1 : 2 * width], 2 * width)
+        spectrum = _square_spectrum(kernel, width)
         for j in range(dim):
             # Samples [s, s+width) for every s = 0, 2*width, ... with s+width < n.
             heads = sliding_window_view(values[:-1, j], width)[:: 2 * width]
             tails = out[: 2 * width * len(heads), j].reshape(-1, 2 * width)
-            column = np.fft.rfft(heads, 2 * width) * spectrum
-            tails[:, width:] += np.fft.irfft(column, 2 * width)[:, width - 1 : -1]
-            # Dropped before the next transform, to hold the peak memory.
-            del column
+            tails[:, width:] += _square(spectrum, heads, width)
         width *= 2
     return out[:n]
 

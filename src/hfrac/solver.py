@@ -18,6 +18,11 @@ The newest term has weight w[0] = 1, so every step is an implicit equation,
 solved by a damped chord-Newton iteration whose matrix (I - h^nu J)^-1 is
 carried from step to step and rebuilt only when it stops contracting well.
 
+The history sums are tiled as in the operators' blocked convolution: a
+step sums directly over its own diagonal block, and a square of samples
+[s, s+w) adds to steps s+w+1 .. s+2w with one FFT once sample s+w-1 is
+known.  Below ``_FFT_MIN`` steps the block is the whole history.
+
 A state has few components, so a numpy call would cost more than its
 arithmetic, and the step runs on lists of Python floats.  numpy does only
 the history sum, the chord product (I - h^nu J)^-1 g and the Jacobian with
@@ -40,6 +45,9 @@ from .operators import (
     HGrid,
     OperatorKind,
     ShiftedGridFunction,
+    _square,
+    _square_spectrum,
+    _tiling,
     fractional_sum,
 )
 from .special import binomial_weights
@@ -275,11 +283,12 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got tol = {tol!r}")
     weights = binomial_weights(sys.nu, max(n_steps, 1))
-    # Reversed once, so each step's history sum is a contiguous dot product:
-    # rev[n_steps-n+1 : n_steps] = weights[n-1], ..., weights[1].
+    # Reversed once, so the direct sum over a step's block [b, n-1) is a dot
+    # product: rev[n_steps-n+1+b : n_steps] = weights[n-1-b], ..., weights[1].
     rev = weights[::-1].copy()
+    block, _ = _tiling(n_steps)
     scale = float(sys.h**sys.nu)
-    states = np.empty((n_steps + 1, sys.dim))
+    states = np.zeros((n_steps + 1, sys.dim))  # unsolved rows collect the squares
     states[0] = sys.x0
     history = np.empty((n_steps, sys.dim))
     records: list[StepRecord] = []
@@ -290,8 +299,11 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
     try:
         for n in range(1, n_steps + 1):
             c = float(coef[n])
-            memory = (rev[n_steps - n + 1 : n_steps] @ history[: n - 1]).tolist()
-            known = [c * b + scale * m for b, m in zip(x0, memory)]
+            b = (n - 1) // block * block
+            memory = rev[n_steps - n + 1 + b : n_steps] @ history[b : n - 1]
+            if b:
+                memory += states[n]
+            known = [c * u + scale * m for u, m in zip(x0, memory.tolist())]
             # Linear extrapolation of the last two states starts the iteration.
             start = [2.0 * u - v for u, v in zip(x, prev)] if n >= 2 else x0
             prev = x
@@ -301,6 +313,13 @@ def solve(sys: SystemDef, n_steps: int, tol: float = DEFAULT_STEP_TOL) -> Trajec
             states[n] = x
             history[n - 1] = fx
             records.append(record)
+            if n % block == 0 and n < n_steps:
+                # Sample n-1 ends the square of samples [n-w, n), with w block
+                # times the lowest set bit of n // block.
+                width = block * (n // block & -(n // block))
+                spectrum = _square_spectrum(weights, width)
+                tails = _square(spectrum, history[n - width : n].T, width)
+                states[n + 1 : n + 1 + width] += tails.T[: n_steps - n]
     except ArithmeticError as err:  # overflow or division by zero in the rhs
         t = sys.shifted_time(n - 1)
         msg = f"rhs raised {type(err).__name__}: {err} at step {n} (t = {t!r})"

@@ -25,6 +25,7 @@ from hfrac import (
     write_step_csv,
 )
 from hfrac.expr import build_system
+from hfrac.operators import _FFT_MIN, _tiling
 
 
 def bisect_root(fn, lo, hi, tol=1e-12):
@@ -439,3 +440,47 @@ class TestFloatStep:
         outcome = _outcome(solve, sys, 8)
         assert outcome[0] == "raised"
         assert outcome == _outcome(solver_oracle.solve, sys, 8)
+
+
+class TestBlockedHistory:
+    """From _FFT_MIN steps on, each step sums its history directly only over
+    its own diagonal block and takes the rest from FFT squares, tiled as in
+    operators._convolve_columns; tests/solver_oracle.py sums the whole
+    history directly at every step.  Below _FFT_MIN the block is the whole
+    history, so the two routes agree bit for bit."""
+
+    BUILTINS = ("ex5.1", "ex5.2", "ex5.3", "ex5.4")
+    # A plain numpy callable: the adapter route.
+    CALLABLE = SystemDef(2, OperatorKind.RIEMANN_LIOUVILLE, 0.4, 0.0, 0.7, [0.5, 0.5],
+                         lambda t, x: -x**3 - 0.1 * np.array([x[1], -x[0]]))
+
+    def test_bitwise_below_fft_min(self):
+        n = _FFT_MIN - 1
+        for sys in [*(get_builtin(key).system for key in self.BUILTINS), self.CALLABLE]:
+            assert _outcome(solve, sys, n) == _outcome(solver_oracle.solve, sys, n)
+
+    @staticmethod
+    def _assert_close(sys, n):
+        assert _tiling(n)[1] > 0
+        # At the default tol = 1e-12 a last-bit difference can flip whether
+        # a step stops at its extrapolation, which moves a state by up to tol:
+        # ex5.3 at 2e4 steps deviates by 2.3e-12 of its largest value there,
+        # and by 7e-15 at tol = 1e-14, where such a flip moves it by 1e-14.
+        states = solve(sys, n, tol=1e-14).states.values
+        ref = solver_oracle.solve(sys, n, tol=1e-14).states.values
+        # Per component, against its largest value: measured at most
+        # 2.7e-15.  Elementwise the deviation follows the sums' rounding,
+        # not the state: 1.6e-11 relative on ex5.4's tail (6.3e-7) at 5000
+        # steps, 1.2e-10 on its 7.9e-8 tail at 2e4.
+        dev = np.max(np.abs(states - ref), axis=0)
+        assert np.all(dev <= 1e-12 * np.max(np.abs(ref), axis=0)), dev
+
+    # _FFT_MIN = 128 << 4 and 3072 = 96 << 5 fill their tilings exactly;
+    # _FFT_MIN + 1 and 5000 end inside the last square.
+    @pytest.mark.parametrize("n", [_FFT_MIN, _FFT_MIN + 1, 3072, 5000])
+    @pytest.mark.parametrize("key", BUILTINS)
+    def test_builtins_close_to_direct_history(self, key, n):
+        self._assert_close(get_builtin(key).system, n)
+
+    def test_plain_callable_close_to_direct_history(self):
+        self._assert_close(self.CALLABLE, 5000)
