@@ -6,15 +6,27 @@ Three layers live here:
   eigenvalue routine (``np.linalg.eigvalsh``), one matrix or a stack;
 * margin checkers for the operator inequalities that make Lyapunov
   candidates work, namely  p * y^(p-1)(t+nu*h) (D^nu y)(t) >= (D^nu y^p)(t)
-  for the quadratic (p=2), odd-power (p = 3, 5, ..., with y >= 0) and
-  dyadic-power (p = 2^m) families, each for both operator kinds, plus the
-  matrix-weighted quadratic form version.  Each formula is written once,
-  over a block of series: one series, or all trials of a suite's order;
+  for every integer power p >= 2 (odd p on y >= 0 only), each for both
+  operator kinds, plus the matrix-weighted quadratic form version.  Each
+  formula is written once, over a block of series: one series, or all
+  trials of a suite's order;
 * sampled certificates for the sufficient stability conditions
   x^T P f(t,x) <= 0 (quadratic candidate) and componentwise
   x_i^(p-1) f_i(t,x) <= 0 (power candidates), evaluated over a
   deterministic low-discrepancy lattice.  A certificate is sampled
-  evidence, not a proof, and the report says so.
+  evidence, not a proof, and the report says so.  Each condition class
+  carries what depends on its family: the sampled `region` and its
+  `values` at the points.
+
+The power rule is exact, not sampled.  Write output k of either
+difference as sum_j a_kj y_j, with centre c = k+1 (the point t + nu*h).
+Every off-centre a_kj is <= 0, because the order-(1-nu) binomial weights
+decrease, and the row sum is 0 (Caputo) or a positive weight (RL).  With
+B the Bregman divergence of the convex phi = y^p, the margin is
+
+    sum_{j != c} (-a_kj) B(y_j, y_c)  +  (sum_j a_kj) (p-1) y_c^p,
+
+and both terms are >= 0 for even p on any series, and for odd p on y >= 0.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,19 +109,9 @@ def _check_slack(slack: float) -> None:
 
 
 def _check_power(power: int) -> None:
-    if power == 2:
-        return
-    if power >= 3 and power % 2 == 1:
-        return
-    if power >= 2 and power & (power - 1) == 0:
-        return
-    raise ValueError(
-        f"power must be 2, an odd integer >= 3, or a power of two, got {power}"
-    )
-
-
-def _power_needs_nonneg(power: int) -> bool:
-    return power >= 3 and power % 2 == 1
+    """The one rule: any integer p >= 2 (odd p holds on y >= 0 only)."""
+    if not (isinstance(power, numbers.Integral) and power >= 2):
+        raise ValueError(f"power must be an integer >= 2, got {power!r}")
 
 
 def _power_margins(
@@ -152,17 +155,15 @@ def power_inequality_margins(
 ) -> np.ndarray:
     """Margins p*y^(p-1)(t+nu*h)(D y)(t) - (D y^p)(t) at every grid point.
 
-    Nonnegative entries confirm the inequality.  Odd powers require
-    y >= 0 everywhere; the hypothesis is essential, so violations raise
-    instead of being clamped.
+    Nonnegative entries confirm the inequality.  Any integer p >= 2 is
+    accepted; odd powers require y >= 0 everywhere, and the hypothesis is
+    essential, so violations raise instead of being clamped.
     """
     if y.dim != 1:
         raise ValueError("power inequalities are scalar statements")
     _check_power(power)
-    if _power_needs_nonneg(power) and float(np.min(y.values)) < 0.0:
-        raise NonnegativityError(
-            f"power {power} requires a nonnegative function"
-        )
+    if power % 2 and float(np.min(y.values)) < 0.0:
+        raise NonnegativityError(f"power {power} requires a nonnegative function")
     return _power_margins(y.grid, y.values, nu, power, kind)[:, 0]
 
 
@@ -200,7 +201,7 @@ def power_margin_suite(
     """Worst margin of the power inequality over randomized functions."""
     _check_power(power)
     rng = np.random.default_rng(0) if rng is None else rng
-    low = 0.0 if _power_needs_nonneg(power) else -1.0
+    low = 0.0 if power % 2 else -1.0
     grid = HGrid(0.0, 1.0, n_points)
     worst = math.inf
     for nu in nu_values:
@@ -211,9 +212,13 @@ def power_margin_suite(
     return worst
 
 
-def _spd_draws(dim: int, rng, cond_max: float = 1e3) -> tuple:
+#: Largest condition number of the random SPD weights.
+_COND_MAX = 1e3
+
+
+def _spd_draws(dim: int, rng) -> tuple:
     """Draws for one random SPD matrix: a normal matrix, then log10-eigenvalues."""
-    span = 0.5 * math.log10(cond_max)
+    span = 0.5 * math.log10(_COND_MAX)
     return rng.normal(size=(dim, dim)), rng.uniform(-span, span, size=dim)
 
 
@@ -226,9 +231,9 @@ def _spd_matrices(normals: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
-def random_spd_matrix(dim: int, rng, cond_max: float = 1e3) -> np.ndarray:
-    """Random SPD matrix with condition number at most cond_max."""
-    return _spd_matrices(*_spd_draws(dim, rng, cond_max))
+def random_spd_matrix(dim: int, rng) -> np.ndarray:
+    """Random SPD matrix with condition number at most 1e3."""
+    return _spd_matrices(*_spd_draws(dim, rng))
 
 
 # The quadratic suite stacks the trials of as many orders as fit into this
@@ -295,21 +300,28 @@ class QuadraticCondition:
     """
 
     matrix: np.ndarray
+    region = "box"
+    ident = "quadratic"
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _check_psd(self.matrix))
 
-    @property
-    def ident(self) -> str:
-        return "quadratic"
+    def values(self, points: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """x^T P f at each point (rows of `points`, rhs values `f`)."""
+        if self.matrix.shape[0] != points.shape[1]:
+            raise ValueError("condition matrix dimension does not match the system")
+        # Stacked 1xd @ dxd @ dx1: bitwise the per-point x @ (P @ f).
+        return np.matmul(points[:, None, :], np.matmul(self.matrix, f[:, :, None]))[:, 0, 0]
 
 
 @dataclass(frozen=True)
 class PowerCondition:
-    """Componentwise condition x_i^(p-1) f_i(t, x) <= 0.
+    """Componentwise condition x_i^(p-1) f_i(t, x) <= 0, for any integer p >= 3.
 
-    Odd p restricts sampling to the nonnegative orthant (the hypothesis of
-    the odd-power inequality); dyadic p samples the full box.
+    It rests on the power inequality, which holds for every integer p >= 2
+    by the Bregman identity of the module docstring: for even p on any
+    series, for odd p on y >= 0.  So odd p samples the nonnegative orthant,
+    even p the full box.  (p = 2 is the quadratic condition with P = I.)
     """
 
     power: int
@@ -320,12 +332,16 @@ class PowerCondition:
             raise ValueError("power 2 is the quadratic condition; use that form")
 
     @property
-    def orthant_only(self) -> bool:
-        return _power_needs_nonneg(self.power)
+    def region(self) -> str:
+        return "orthant" if self.power % 2 else "box"
 
     @property
     def ident(self) -> str:
         return f"power-{self.power}"
+
+    def values(self, points: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """max_i x_i^(p-1) f_i at each point (rows of `points`, rhs values `f`)."""
+        return np.max(points ** (self.power - 1) * f, axis=1)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -411,31 +427,17 @@ class CertificateReport:
                 )
 
 
-def _condition_values(
-    sys: SystemDef, condition, points: np.ndarray, times
-) -> np.ndarray:
+def _condition_values(sys: SystemDef, condition, points: np.ndarray, times) -> np.ndarray:
     """The condition value at each point, maximised over `times` as Python's
     max() would, except that a NaN at any time stays NaN; one batch rhs call
     per time."""
-    if isinstance(condition, QuadraticCondition):
-        p = condition.matrix
-
-        def value(f):  # stacked 1xd @ dxd @ dx1: bitwise the per-point x @ (P @ f)
-            return np.matmul(points[:, None, :], np.matmul(p, f[:, :, None]))[:, 0, 0]
-    elif isinstance(condition, PowerCondition):
-        weight = points ** (condition.power - 1)
-
-        def value(f):
-            return np.max(weight * f, axis=1)
-    else:
-        raise TypeError(f"unsupported condition {condition!r}")
     values = None
     for t in times:
         try:
             f = sys.eval_rhs_batch(t, points)
         except ArithmeticError as err:  # overflow or division by zero in the rhs
             raise _sampling_error(sys, t, points, err) from err
-        v = value(f)
+        v = condition.values(points, f)
         values = v if values is None else np.where((v > values) | np.isnan(v), v, values)
     return values
 
@@ -454,32 +456,31 @@ def _sampling_error(sys: SystemDef, t, points: np.ndarray, err: ArithmeticError)
     return ValueError(f"rhs raised {type(err).__name__}: {err} at {where} (t = {t!r})")
 
 
+#: Length of the trajectory that confirms an asymptotic verdict.
+_CONFIRM_STEPS = 256
+
+
 def certify_theorem(
     sys: SystemDef,
     condition,
     sampler: LatticeSampler | None = None,
     *,
     slack: float = MARGIN_SLACK,
-    confirm_steps: int = 256,
 ) -> CertificateReport:
-    """Sample the sufficient stability condition over a box around the origin.
+    """Sample the sufficient stability condition around the origin.
 
     The condition value must be <= 0 (within `slack`) at every sample for
     the stable verdict.  The asymptotic verdict additionally requires strict
     negativity at every nonzero sample and a confirming trajectory whose
-    final norm drops below 1e-2 of the initial norm.
+    final norm drops below 1e-2 of the initial norm after _CONFIRM_STEPS
+    steps.  The condition says where to sample (its `region`) and what to
+    score there (its `values`).
     """
     _check_slack(slack)
     sampler = LatticeSampler() if sampler is None else sampler
-    if isinstance(condition, QuadraticCondition) and condition.matrix.shape[0] != sys.dim:
-        raise ValueError("condition matrix dimension does not match the system")
     unit = lattice_points(sys.dim, sampler.count, sampler.seed)
-    if isinstance(condition, PowerCondition) and condition.orthant_only:
-        points = sampler.radius * unit
-        region = "orthant"
-    else:
-        points = sampler.radius * (2.0 * unit - 1.0)
-        region = "box"
+    region = condition.region
+    points = sampler.radius * (unit if region == "orthant" else 2.0 * unit - 1.0)
     n_times = sampler.time_points if sys.time_dependent else 1
     times = [sys.shifted_time(s) for s in range(n_times)]
 
@@ -502,9 +503,9 @@ def certify_theorem(
         verdict = "stable-certified"
         nonzero = np.linalg.norm(points, axis=1) > 0.0
         if np.all(margins[nonzero] < -slack) and np.any(nonzero):
-            traj = solve(sys, confirm_steps)
+            traj = solve(sys, _CONFIRM_STEPS)
             x0n = float(np.linalg.norm(traj.state(0)))
-            xfn = float(np.linalg.norm(traj.state(confirm_steps)))
+            xfn = float(np.linalg.norm(traj.state(_CONFIRM_STEPS)))
             if x0n > 0.0 and xfn < 1e-2 * x0n:
                 verdict = "asymptotically-stable-certified"
 

@@ -123,11 +123,6 @@ class GridFunction:
             self, "values", _as_value_matrix(self.values, self.grid.n_points)
         )
 
-    @classmethod
-    def from_callable(cls, grid: HGrid, fn) -> "GridFunction":
-        rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.points]
-        return cls(grid, np.vstack(rows))
-
     @property
     def dim(self) -> int:
         return self.values.shape[1]

@@ -161,6 +161,52 @@ class TestCertify:
         assert code == EXIT_OK
 
 
+# Time-dependent, with x^T f = -x1^2 (1 + t/8) - x2^2 - x2^4 < 0 off the
+# origin, so that the identity weight certifies it and the confirming solve
+# runs.
+PIN_FILE = """\
+kind=rl
+nu=0.6
+h=0.5
+a=0
+x0=0.4,-0.2
+f1=-x1*(1 + t/8) + 0.5*x2
+f2=-0.5*x1 - x2 - x2^3
+"""
+
+# SHA-256 of the report text and of the margins CSV that `certify ... --out`
+# writes with default options (x86-64 Linux, numpy 2.4).  A change here
+# changes a published certificate.
+CERTIFY_SHA256 = {
+    "ex5.1": ("0f4edbda099e835b0b10a5bbfcc794a24b1354ad03ff3a9163ba4e1dbaa784d7",
+              "081b3db523e788fc0ced9d814d871544d44ccab5b44b385370a84b42d86711b5"),
+    "ex5.2": ("b6df7c6552baaea9c82a501e616df142467ac8ff42bdfc45c9e86a26cbf59ecb",
+              "3d49faeb6384581ac62f938afb6329d85cdb9710fde5ee7dc81e628b6c5a46a3"),
+    "ex5.3": ("510e645ff44d9555521a27b16656ba5402e4b570d92b09f264cba7ec54bdd5dc",
+              "b34a19a5c466ff97b1f8d965c032078fa962829626ff74d2b9a7c984a66fee35"),
+    "ex5.4": ("29bc5af0a042436642e3db521daa090a64e3334daa45533e7381f8af858dbc5e",
+              "84ee860066b481fd8b57dae00c6f66a2386a53a4b9e3e6d58a1035baf837e6fc"),
+    "file": ("224834ce80fcffad87bfde47e82bd58595df629103e19ada9c4d98523beab161",
+             "5796eb71f49edbaaee136b7b75d41bacb82e608871fea8c1c8a9f1dbda0926f4"),
+}
+
+
+class TestCertificatePins:
+    @pytest.mark.parametrize("key", sorted(CERTIFY_SHA256))
+    def test_outputs_pinned(self, tmp_path, capsys, key):
+        if key == "file":
+            (tmp_path / "sys.txt").write_text(PIN_FILE)
+            source = ["--file", str(tmp_path / "sys.txt")]
+        else:
+            source = ["--system", key]
+        out = tmp_path / "cert.txt"
+        assert main(["certify", *source, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (out, tmp_path / "cert.margins.csv"))
+        assert digests == CERTIFY_SHA256[key]
+
+
 class TestNonFiniteCondition:
     def test_nan_condition_is_not_certified(self, tmp_path, capsys):
         # f1 is x1 (unstable), but every nonzero sample evaluates to inf - inf,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hfrac import (
     BUILTIN_SYSTEMS,
@@ -17,7 +19,7 @@ from hfrac import (
     solve,
     to_source,
 )
-from hfrac.expr import BinOp, Neg, Num, Pow, Var, compile_rhs
+from hfrac.expr import MAX_DEPTH, BinOp, Neg, Num, Pow, Var, compile_rhs
 
 
 class TestParsing:
@@ -226,6 +228,74 @@ class TestCompiled:
             compile_rhs((BinOp("+) or print(1) or (", Var("x1", 0), Num(1.0)),), 1)
         with pytest.raises(TypeError):
             compile_rhs((Pow(Var("x1", 0), "2; import os"),), 1)
+
+
+# Generated trees for the compiler differential: literals that make zero
+# denominators, negative bases and overflow likely, `t`, and exponents up to
+# 1e20; a chain of up to MAX_DEPTH negations on top reaches the parser's depth.
+_DIM = 3
+_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-200, 1e200)
+_LEAVES = st.one_of(
+    st.sampled_from(_VALUES + (math.inf,)).map(Num),
+    st.floats(-1e3, 1e3).map(Num),
+    st.just(Var("t", None)),
+    st.integers(0, _DIM - 1).map(lambda i: Var(f"x{i + 1}", i)),
+)
+
+
+def _nodes(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.sampled_from((0, 1, 2, 3, 5, 8, 31, 400, 10**20))),
+    )
+
+
+def _negated(tree, depth):
+    for _ in range(depth):
+        tree = Neg(tree)
+    return tree
+
+
+_TREES = st.builds(_negated, st.recursive(_LEAVES, _nodes, max_leaves=10),
+                   st.integers(0, MAX_DEPTH) | st.just(0))
+_REALS = st.sampled_from(_VALUES) | st.floats(-10.0, 10.0)
+
+
+def _outcome(run):
+    """The value of run(), or the class of the exception it raises."""
+    try:
+        return _bits(run())
+    except Exception as err:
+        return type(err)
+
+
+class TestCompilerDifferential:
+    """compile_rhs's three forms against the tree walk over generated trees:
+    the same bits, or the same exception class."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(exprs=st.lists(_TREES, min_size=1, max_size=3),
+           points=st.lists(st.lists(_REALS, min_size=_DIM, max_size=_DIM),
+                           min_size=1, max_size=4),
+           t=_REALS)
+    def test_forms_match_tree_walk(self, exprs, points, t):
+        rhs = compile_rhs(tuple(exprs), _DIM)
+        per_point = []
+        for x in points:
+            tree = _outcome(lambda: [evaluate(e, t, x) for e in exprs])
+            assert _outcome(lambda: rhs(t, x)) == tree
+            assert _outcome(lambda: rhs.floats(t, list(x))) == tree
+            assert _outcome(lambda: rhs.batch(t, [x])[0]) == tree
+            per_point.append(tree)
+        batch = _outcome(lambda: rhs.batch(t, points))
+        if all(isinstance(o, bytes) for o in per_point):
+            assert batch == b"".join(per_point)
+        else:
+            # The batch stops at the first operation that fails at any point,
+            # which is where the tree walk stops at that point.
+            assert batch in [o for o in per_point if isinstance(o, type)]
 
 
 SYSTEM_SRC = """

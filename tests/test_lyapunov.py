@@ -36,6 +36,7 @@ from hfrac.operators import ShiftedGridFunction, caputo_difference, rl_differenc
 from jacobi_oracle import jacobi_diagonalize
 
 SLACK = 1e-10
+KINDS = (OperatorKind.CAPUTO, OperatorKind.RIEMANN_LIOUVILLE)
 
 
 class TestJacobi:
@@ -110,9 +111,12 @@ class TestPowerMargins:
             power_inequality_margins(y, 0.5, 3, OperatorKind.CAPUTO)
 
     def test_invalid_power_rejected(self):
+        # Every integer p >= 2 is accepted, nothing else is.
         y = GridFunction(HGrid(0.0, 1.0, 8), np.ones(8))
-        with pytest.raises(ValueError):
-            power_inequality_margins(y, 0.5, 6, OperatorKind.CAPUTO)
+        assert np.min(power_inequality_margins(y, 0.5, 6, OperatorKind.CAPUTO)) >= -SLACK
+        for power in (0, 1, 2.5, True):
+            with pytest.raises(ValueError):
+                power_inequality_margins(y, 0.5, power, OperatorKind.CAPUTO)
 
     def test_order_one_square_margin_formula(self):
         # at nu = 1 the square margin telescopes to (y(t+h) - y(t))^2 / h
@@ -121,6 +125,35 @@ class TestPowerMargins:
         margins = power_inequality_margins(y, 1.0, 2, OperatorKind.CAPUTO)
         expected = np.diff(y.values[:, 0]) ** 2
         np.testing.assert_allclose(margins, expected, atol=1e-12)
+
+
+class TestPowerRule:
+    """The facts behind the one power rule (see the lyapunov module
+    docstring): the Bregman identity holds for every integer p >= 2 once
+    every off-centre coefficient a_kj is <= 0 and every row sum is >= 0."""
+
+    # Caputo row sums are 0 in exact arithmetic.  The allowance is
+    # C_ROW * eps * sum_j |a_kj|; the worst row measured over 1500 orders
+    # at h = 0.3 reached -0.78 of eps * sum_j |a_kj|.
+    C_ROW = 4.0
+
+    @pytest.mark.parametrize("n", [2, 24, 64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_signs(self, kind, n):
+        grid, eps = HGrid(0.0, 0.3, n), np.finfo(float).eps
+        centre = (np.arange(n - 1), np.arange(1, n))
+        for nu in np.linspace(0.0, 1.0, 201)[1:]:
+            # Row k holds the coefficients a_kj of output k, centred at j = k+1.
+            a = kind.difference(GridFunction(grid, np.eye(n)), nu).values
+            off = a.copy()
+            off[centre] = 0.0
+            assert np.max(off) <= 0.0, nu
+            assert np.all(a.sum(axis=1) >= -self.C_ROW * eps * np.abs(a).sum(axis=1)), nu
+
+    @pytest.mark.parametrize("power", [6, 10, 12])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_even_power_suites(self, kind, power):
+        assert power_margin_suite(kind, power) >= -SLACK
 
 
 class TestQuadraticFormMargins:
@@ -220,15 +253,12 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
-KINDS = (OperatorKind.CAPUTO, OperatorKind.RIEMANN_LIOUVILLE)
-
-
 class TestBatchedSuites:
     """The batched suites against the per-trial route: the same worst
     margin and the same random stream afterwards, bit for bit."""
 
     @pytest.mark.parametrize("n_points", [2, 24])
-    @pytest.mark.parametrize("power", [2, 3, 5, 8])
+    @pytest.mark.parametrize("power", [2, 3, 5, 6, 8])
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("trials", [0, 1, 2, 7])
     def test_power_suite_bitwise(self, trials, kind, power, n_points):
@@ -480,12 +510,18 @@ class TestCertificates:
                             slack=slack)
 
     def test_power_condition_validation(self):
-        with pytest.raises(ValueError):
-            PowerCondition(2)
-        with pytest.raises(ValueError):
-            PowerCondition(6)
-        assert PowerCondition(3).orthant_only
-        assert not PowerCondition(4).orthant_only
+        for power in (0, 1, 2, 2.5, True):
+            with pytest.raises(ValueError):
+                PowerCondition(power)
+        assert PowerCondition(6).ident == "power-6"
+        assert PowerCondition(3).region == "orthant"
+        assert PowerCondition(4).region == PowerCondition(6).region == "box"
+        assert QuadraticCondition(np.eye(2)).region == "box"
+
+    def test_sixth_power_certifies_ex51(self):
+        report = certify_theorem(get_builtin("ex5.1").system, PowerCondition(6))
+        assert report.certified
+        assert report.condition_id == "caputo-power-6"
 
 
 def _per_point(sys: SystemDef) -> SystemDef:
@@ -510,7 +546,7 @@ class TestBatchedRoutes:
     """Batched evaluation against the per-point route over the same compiled rhs."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    @pytest.mark.parametrize("condition", ["quadratic", 3, 4, 5, 8])
+    @pytest.mark.parametrize("condition", ["quadratic", 3, 4, 5, 6, 8])
     def test_certificate_margins_bitwise(self, dim, condition):
         rng = np.random.default_rng(dim)
         if condition == "quadratic":
