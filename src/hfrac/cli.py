@@ -25,7 +25,7 @@ from .lyapunov import (
     quadratic_margin_suite,
 )
 from .operators import OperatorKind, write_grid_csv
-from .solver import SolverDivergenceError, residual_check, solve, write_step_csv
+from .solver import DEFAULT_STEP_TOL, SolverDivergenceError, residual_check, solve, write_step_csv
 from .systems import BUILTIN_SYSTEMS, get_builtin
 
 EXIT_OK = 0
@@ -148,11 +148,7 @@ def _add_system_args(parser, with_overrides=True):
 
 def _cmd_simulate(args) -> int:
     system, _ = _load_system(args)
-    try:
-        traj = solve(system, args.steps, tol=args.tol)
-    except SolverDivergenceError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
+    traj = solve(system, args.steps, tol=args.tol)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_grid_csv(traj.states, out)
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=40)
     p.add_argument("--out", default="trajectory.csv")
     p.add_argument("--svg", help="also write a polyline SVG plot")
-    p.add_argument("--tol", type=_finite_float, default=1e-12,
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_STEP_TOL,
                    help="implicit step residual tolerance")
     p.set_defaults(func=_cmd_simulate)
 

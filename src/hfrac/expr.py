@@ -273,17 +273,15 @@ def _eval(e: Expr, t: float, x: np.ndarray) -> float:
             return left - right
         if e.op == "*":
             return left * right
-        denom = right
-        if denom == 0.0:
-            raise ExprEvalError("division by zero")
-        return left / denom
+        return _div(left, right)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def to_source(e: Expr) -> str:
-    """Print an expression; reparsing yields a structurally identical tree."""
+    """Print an expression; reparsing a tree that :func:`parse` built yields a
+    structurally identical tree."""
     if isinstance(e, Num):
-        return repr(e.value)
+        return "1e999" if e.value == math.inf else repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):

@@ -31,7 +31,6 @@ and both terms are >= 0 for even p on any series, and for odd p on y >= 0.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import numbers
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import GridFunction, HGrid, OperatorKind
+from .operators import GridFunction, HGrid, OperatorKind, _write_csv
 from .solver import SystemDef, Trajectory, solve
 
 __all__ = [
@@ -417,14 +416,8 @@ class CertificateReport:
         return "\n".join(lines) + "\n"
 
     def write_margins_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            dim = self.points.shape[1]
-            writer.writerow([f"x{i + 1}" for i in range(dim)] + ["margin"])
-            for point, margin in zip(self.points, self.margins):
-                writer.writerow(
-                    [f"{v:.17g}" for v in point] + [f"{margin:.17g}"]
-                )
+        header = [f"x{i + 1}" for i in range(self.points.shape[1])] + ["margin"]
+        _write_csv(path, header, np.column_stack((self.points, self.margins)))
 
 
 def _condition_values(sys: SystemDef, condition, points: np.ndarray, times) -> np.ndarray:

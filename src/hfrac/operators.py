@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -151,8 +152,8 @@ class ShiftedGridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.offset < 0.0:
-            raise ValueError(f"offset must be nonnegative, got {self.offset!r}")
+        if not (math.isfinite(self.offset) and self.offset >= 0.0):
+            raise ValueError(f"offset must be finite and nonnegative, got {self.offset!r}")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
@@ -335,8 +336,8 @@ def fractional_sum(f: GridFunction, nu: float) -> ShiftedGridFunction:
     that way, from :func:`binomial_weights`.  The order-0 operator is the
     identity.  For integer nu this reduces to the iterated plain summation.
     """
-    if nu < 0.0:
-        raise ValueError(f"order must be nonnegative, got nu = {nu!r}")
+    if not (math.isfinite(nu) and nu >= 0.0):
+        raise ValueError(f"order must be finite and nonnegative, got nu = {nu!r}")
     if nu == 0.0:
         return ShiftedGridFunction(f.grid, 0.0, f.values.copy())
     h = f.grid.h
@@ -351,14 +352,19 @@ def _require_frac_order(nu: float) -> None:
         raise ValueError(f"order must lie in (0, 1], got nu = {nu!r}")
 
 
+def _require_difference_input(f: GridFunction, nu: float = 1.0) -> None:
+    """The order and length checks of every difference (default: first order)."""
+    _require_frac_order(nu)
+    if f.grid.n_points < 2:
+        raise InsufficientPointsError("need at least 2 points")
+
+
 def rl_difference(f: GridFunction, nu: float) -> ShiftedGridFunction:
     """Riemann-Liouville style difference: forward difference of the (1-nu)-sum.
 
     For nu = 1 this is exactly the forward difference on the original scale.
     """
-    _require_frac_order(nu)
-    if f.grid.n_points < 2:
-        raise InsufficientPointsError("need at least 2 points")
+    _require_difference_input(f, nu)
     g = fractional_sum(f, 1.0 - nu)
     vals = g.values[1:] - g.values[:-1]
     vals /= f.grid.h
@@ -372,9 +378,7 @@ def rl_difference_direct(f: GridFunction, nu: float) -> ShiftedGridFunction:
     (h / Gamma(-nu)) * sum_{j=0}^{k+1} ((k-j-nu) h)_h^(-nu-1) * f(a + j*h).
     Must agree with :func:`rl_difference`; kept as an independent route.
     """
-    _require_frac_order(nu)
-    if f.grid.n_points < 2:
-        raise InsufficientPointsError("need at least 2 points")
+    _require_difference_input(f, nu)
     if nu == 1.0:
         d = forward_difference(f, 1)
         return ShiftedGridFunction(f.grid, 0.0, d.values)
@@ -394,9 +398,7 @@ def caputo_difference(f: GridFunction, nu: float) -> ShiftedGridFunction:
 
     Annihilates constants; for nu = 1 it is the forward difference.
     """
-    _require_frac_order(nu)
-    if f.grid.n_points < 2:
-        raise InsufficientPointsError("need at least 2 points")
+    _require_difference_input(f, nu)
     g = fractional_sum(forward_difference(f, 1), 1.0 - nu)
     return ShiftedGridFunction(f.grid, g.offset, g.values)
 
@@ -408,20 +410,13 @@ def caputo_difference_direct(f: GridFunction, nu: float) -> ShiftedGridFunction:
     replaces the forward difference; must agree with
     :func:`caputo_difference`.
     """
-    _require_frac_order(nu)
-    if f.grid.n_points < 2:
-        raise InsufficientPointsError("need at least 2 points")
+    _require_difference_input(f, nu)
     if nu == 1.0:
         d = forward_difference(f, 1)
         return ShiftedGridFunction(f.grid, 0.0, d.values)
-    n = f.grid.n_points
     h = f.grid.h
-    from math import comb
-
-    inner = np.zeros((n - 1, f.dim))
-    for r in range(2):
-        inner += ((-1.0) ** (r + 1)) * comb(1, r) * f.values[r : r + n - 1]
-    kernel = _kernel(1.0 - nu, -nu, h, n - 1)
+    inner = f.values[1:] - f.values[:-1]  # that inner sum, not divided by h
+    kernel = _kernel(1.0 - nu, -nu, h, len(inner))
     pref = reciprocal_gamma(1.0 - nu)
     vals = pref * _convolve_direct(kernel, inner)
     return ShiftedGridFunction(f.grid, (1.0 - nu) * h, vals)
@@ -473,9 +468,7 @@ def summation_by_parts_residual(x: GridFunction, y: GridFunction) -> float:
         raise GridMismatchError("summation by parts needs a common grid")
     if x.dim != 1 or y.dim != 1:
         raise ValueError("summation by parts is defined for scalar functions")
-    n = x.grid.n_points
-    if n < 2:
-        raise InsufficientPointsError("need at least 2 points")
+    _require_difference_input(x)
     h = x.grid.h
     xv = x.values[:, 0]
     yv = y.values[:, 0]
@@ -486,13 +479,25 @@ def summation_by_parts_residual(x: GridFunction, y: GridFunction) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _write_csv(path, header: list[str], rows, line: str | None = None) -> None:
+    """The one CSV format: a header row, then `line % row` for each of `rows`
+    (a 2-D array or an iterable of tuples), LF endings.  By default each field
+    is %.17g, which reads back as the same double; an integer field takes %d."""
+    line = line or ",".join(["%.17g"] * len(header)) + "\n"
+    if isinstance(rows, np.ndarray):  # to Python floats a chunk at a time
+        rows = itertools.chain.from_iterable(
+            part.tolist() for part in np.split(rows, range(4096, len(rows), 4096)))
+    rows = iter(rows)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        while part := list(itertools.islice(rows, 4096)):
+            fh.write(line * len(part) % tuple(itertools.chain.from_iterable(part)))
+
+
 def write_grid_csv(f: GridFunction, path) -> None:
     """Write `t,x1,...,xn` rows at full double precision with LF endings."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(f.dim)])
-        for k, t in enumerate(f.grid.points):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in f.values[k]])
+    header = ["t"] + [f"x{i + 1}" for i in range(f.dim)]
+    _write_csv(path, header, np.column_stack((f.grid.points, f.values)))
 
 
 def read_grid_csv(path) -> GridFunction:

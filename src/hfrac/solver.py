@@ -33,7 +33,6 @@ multiply-adds, so they are never replaced by Python sums.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,9 +44,11 @@ from .operators import (
     HGrid,
     OperatorKind,
     ShiftedGridFunction,
+    _require_frac_order,
     _square,
     _square_spectrum,
     _tiling,
+    _write_csv,
     fractional_sum,
 )
 from .special import binomial_weights
@@ -106,12 +107,8 @@ class SystemDef:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"order must lie in (0, 1], got nu = {self.nu!r}")
-        if not math.isfinite(self.a):
-            raise ValueError(f"origin must be finite, got a = {self.a!r}")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError(f"step must be finite and positive, got h = {self.h!r}")
+        _require_frac_order(self.nu)
+        HGrid(self.a, self.h, 1)  # the grid's checks of a and h
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 must have length {self.dim}, got {x0.shape}")
@@ -356,8 +353,7 @@ def reconstruct_from_difference(
     with the matching difference operator is the identity.  The memory term
     is the order-nu sum of g.
     """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got nu = {nu!r}")
+    _require_frac_order(nu)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (g.dim,):
         raise ValueError(f"x0 must have length {g.dim}, got {x0.shape}")
@@ -373,8 +369,5 @@ def reconstruct_from_difference(
 
 def write_step_csv(traj: Trajectory, path) -> None:
     """Sidecar `step,iters,residual` metadata for a solved trajectory."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "iters", "residual"])
-        for rec in traj.steps:
-            writer.writerow([rec.index, rec.iterations, f"{rec.residual:.17g}"])
+    rows = ((rec.index, rec.iterations, rec.residual) for rec in traj.steps)
+    _write_csv(path, ["step", "iters", "residual"], rows, "%d,%d,%.17g\n")

@@ -207,6 +207,28 @@ class TestCertificatePins:
         assert digests == CERTIFY_SHA256[key]
 
 
+# SHA-256 of the steps CSV that `simulate --steps 3000` writes for each
+# built-in (x86-64 Linux, numpy 2.4).  At 3000 steps the solver history takes
+# its FFT squares, and every step's iteration count and residual is pinned.
+SIMULATE_STEPS_SHA256 = {
+    "ex5.1": "3a0d5e178577fd82075ff3298eeb9ff809bd48c384d1e7772e28c387bda08c51",
+    "ex5.2": "38917babef38b76b4cba5e1eaf4d1e22b97ca409d0b44d01edd14434f4398b08",
+    "ex5.3": "56880defe0f76e54c793e6546adb8391ed0f949a3acfb220e99934e10c1eef47",
+    "ex5.4": "05156fee38da1c7bec8f5fe687a5681e0d1dd37e852f26f0146bad6582e9ed06",
+}
+
+
+class TestStepsPins:
+    @pytest.mark.parametrize("key", sorted(SIMULATE_STEPS_SHA256))
+    def test_steps_csv_pinned(self, tmp_path, capsys, key):
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", "--system", key, "--steps", "3000", "--out", str(out)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        digest = hashlib.sha256((tmp_path / "traj.steps.csv").read_bytes()).hexdigest()
+        assert digest == SIMULATE_STEPS_SHA256[key]
+
+
 class TestNonFiniteCondition:
     def test_nan_condition_is_not_certified(self, tmp_path, capsys):
         # f1 is x1 (unstable), but every nonzero sample evaluates to inf - inf,

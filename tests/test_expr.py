@@ -110,6 +110,7 @@ class TestRoundTrip:
         "2^3^2",
         "x1 - -x2",
         "1e-3*x1 + 2.5",
+        "x1 + 1e999",
     ]
 
     @pytest.mark.parametrize("src", CASES)

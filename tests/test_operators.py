@@ -1,5 +1,7 @@
 """Tests for the grid types and the fractional operators."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hfrac import (
     HGrid,
     InsufficientPointsError,
     OperatorKind,
+    ShiftedGridFunction,
     binomial_weights,
     caputo_difference,
     caputo_difference_direct,
@@ -23,7 +26,7 @@ from hfrac import (
     summation_by_parts_residual,
     write_grid_csv,
 )
-from hfrac.operators import _BLOCK_MAX, _FFT_MIN, _convolve_direct, _kernel
+from hfrac.operators import _BLOCK_MAX, _FFT_MIN, _convolve_direct, _kernel, _write_csv
 
 NU_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -70,6 +73,14 @@ class TestGrid:
             GridFunction(grid, np.ones(4))
         with pytest.raises(ValueError):
             GridFunction(grid, np.array([1.0, np.nan, 2.0]))
+
+
+class TestShiftedGridFunction:
+    @pytest.mark.parametrize("offset", [-0.5, np.nan, np.inf])
+    def test_bad_offset_rejected(self, offset):
+        # offset < 0 is False for NaN, so a NaN offset once passed the check.
+        with pytest.raises(ValueError, match="offset"):
+            ShiftedGridFunction(HGrid(0.0, 1.0, 3), offset, np.ones(3))
 
 
 class TestForwardDifference:
@@ -131,10 +142,12 @@ class TestFractionalSum:
         recovered = np.diff(padded) / 0.5
         np.testing.assert_allclose(recovered, f.values[:, 0], atol=1e-12)
 
-    def test_negative_order_rejected(self):
+    @pytest.mark.parametrize("nu", [-0.5, np.nan, np.inf, -np.inf])
+    def test_negative_order_rejected(self, nu):
+        # A NaN order once gave [0, nan, nan, ...] with only a RuntimeWarning.
         f = GridFunction(HGrid(0.0, 1.0, 4), np.ones(4))
-        with pytest.raises(ValueError):
-            fractional_sum(f, -0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fractional_sum(f, nu)
 
 
 class TestDefinitionalEquivalence:
@@ -440,6 +453,28 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.splitlines()[0] == b"t,x1,x2"
+
+    def test_writer_matches_csv_module(self, tmp_path):
+        # The one writer formats whole chunks with %; the bytes must be those
+        # of csv.writer over f"{v:.17g}" fields, across a chunk boundary and
+        # for signed zeros, non-finite values and subnormals.
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((5000, 2)) * 10.0 ** rng.integers(-300, 300, (5000, 2))
+        table[:6, 0] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0]
+        _write_csv(tmp_path / "a.csv", ["x", "y"], table)
+        _write_csv(tmp_path / "b.csv", ["i", "y"], enumerate(table[:, 1].tolist()),
+                   "%d,%.17g\n")
+        refs = {
+            "a.csv": (["x", "y"], [[f"{x:.17g}", f"{y:.17g}"] for x, y in table]),
+            "b.csv": (["i", "y"], [[k, f"{y:.17g}"] for k, y in enumerate(table[:, 1])]),
+        }
+        for name, (header, rows) in refs.items():
+            ref = tmp_path / f"ref_{name}"
+            with open(ref, "w", newline="\n") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+            assert (tmp_path / name).read_bytes() == ref.read_bytes()
 
     def test_rejects_ragged_times(self, tmp_path):
         path = tmp_path / "bad.csv"
