@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .special import _h_factorial_array, binomial_weights, reciprocal_gamma
+from .special import _h_factorial_array, _require_step, binomial_weights, reciprocal_gamma
 
 __all__ = [
     "OperatorKind",
@@ -86,8 +86,7 @@ class HGrid:
     def __post_init__(self):
         if not math.isfinite(self.a):
             raise ValueError(f"origin must be finite, got a = {self.a!r}")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError(f"step must be finite and positive, got h = {self.h!r}")
+        _require_step(self.h)
         if self.n_points < 1:
             raise ValueError(f"need at least one point, got {self.n_points}")
 
@@ -305,7 +304,8 @@ def _kernel(num0: float, nu: float, h: float, n: int) -> np.ndarray:
     (rather than t/h) lets them pass one whose distance to a pole is exact.
     Kernels depend only on (num0, nu, h, n), and the tests call the oracles
     with a few combinations many times; the cache is small because a kernel
-    can hold 1e5 points.
+    can hold 1e5 points.  The values stay within about 1e-14 relative of the
+    exact ratio up to 1e7 points (``special._h_factorial_array``).
     """
     values = _h_factorial_array(np.arange(n) + num0, nu, h)
     values.setflags(write=False)

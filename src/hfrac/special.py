@@ -1,13 +1,10 @@
-"""Scalar special functions underlying the fractional step-h operators.
+"""Special functions underlying the fractional step-h operators.
 
-Three ingredients live here: a self-contained log-gamma (Lanczos
-approximation plus reflection), the step-h falling factorial with its
-zero/pole conventions, and the binomial weights C(k+nu-1, k).  The weights
-are the one production kernel: every operator and the solver build their
-convolutions from :func:`binomial_weights`.  The gamma-ratio falling
-factorial is kept for the definitions and for the independent ``*_direct``
-operator forms that tests and ``residual_check`` compare against.  All
-functions are pure and safe to call concurrently.
+The standard library's gamma plus the gamma ratio, with no cancellation;
+the step-h falling factorial with its zero/pole conventions; and the
+binomial weights C(k+nu-1, k), the one production kernel of every operator
+and of the solver.  The falling factorial serves the definitions and the
+independent ``*_direct`` forms.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -27,9 +24,8 @@ __all__ = [
     "binomial_weights",
 ]
 
-# Grid points are constructed as a + k*h and pick up rounding on the way in,
-# so h_factorial's "is t/h + 1 an integer" decisions use a small absolute
-# tolerance.  Gamma itself has poles only at exact nonpositive integers.
+# h_factorial's "is t/h + 1 an integer" tests allow for the rounding grid
+# points a + k*h pick up; Gamma's own poles are exact nonpositive integers.
 INT_TOL = 1e-9
 
 
@@ -41,24 +37,8 @@ class HFactorialPoleError(ValueError):
     """Falling-factorial numerator pole not covered by the zero convention."""
 
 
-# Lanczos approximation with g = 7 and 9 coefficients.  After reflection the
-# relative error of exp(log_gamma) stays below ~1e-14 in double precision.
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
-_LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LN_PI = math.log(math.pi)
+# Gamma ratios with both arguments this large use Stirling's series (tail S < 1.3e-14).
+_STIRLING_MIN = 16.0
 
 
 def _is_pole(x: float) -> bool:
@@ -66,95 +46,47 @@ def _is_pole(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def _nearest_int(x: float) -> tuple[bool, int]:
-    """Classify x as an integer within INT_TOL; returns (is_int, rounded)."""
-    k = round(x)
-    return abs(x - k) <= INT_TOL, int(k)
+def _near_pole(x: float) -> bool:
+    """Is x within INT_TOL of a nonpositive integer (h_factorial's conventions)?"""
+    return abs(x - round(x)) <= INT_TOL and x < 0.5
 
 
-def _log_abs_sin_pi(x):
-    """log|sin(pi*x)|, elementwise.
-
-    The sine is taken of the distance to the nearest integer, x - round(x),
-    which is exact in floating point, so the relative accuracy holds however
-    close x is to an integer.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.log(np.sin(np.pi * np.abs(x - np.round(x))))
+def _require_step(h: float) -> None:
+    """The one check of a step h, shared by ``HGrid`` and :func:`h_factorial`."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step must be finite and positive, got h = {h!r}")
 
 
-def _sign_sin_pi(x):
-    """Sign of sin(pi*x) for non-integer x, elementwise."""
-    x = np.asarray(x, dtype=float)
-    n = np.floor(x).astype(np.int64)
-    return np.where(n % 2 == 0, 1.0, -1.0)
-
-
-def _log_abs_gamma(x):
-    """log|Gamma(x)| for scalar or array input; poles are the caller's problem."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    x1 = np.atleast_1d(arr)
-    reflect = x1 < 0.5
-    xr = np.where(reflect, 1.0 - x1, x1)
-
-    z = xr - 1.0
-    series = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    out = _LN_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(series)
-
-    if np.any(reflect):
-        out[reflect] = _LN_PI - _log_abs_sin_pi(x1[reflect]) - out[reflect]
-    return out[0] if scalar else out
-
-
-def _sign_gamma(x):
-    """Sign of Gamma(x) for non-pole scalar or array input."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x >= 0.5, 1.0, _sign_sin_pi(x))
+def _stirling_tail(z):
+    """S(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 to z^-7 (DLMF 5.11.1)."""
+    r = 1.0 / (z * z)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / z
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of |Gamma(x)|.
-
-    For x >= 0.5 this is ln Gamma(x) directly; below 0.5 the reflection
-    formula is applied, and for negative non-integer x (where Gamma may be
-    negative) the sign is reported separately by :func:`gamma_sign`.
-
-    Raises :class:`GammaPoleError` at exact nonpositive integers only; next
-    to one the reflection keeps full relative accuracy.
-    """
+    """ln|Gamma(x)|, its sign being :func:`gamma_sign`'s; raises at the poles."""
     if _is_pole(x):
         raise GammaPoleError(f"gamma pole at x = {x!r}")
-    return float(_log_abs_gamma(x))
+    return math.lgamma(x)
 
 
 def gamma_sign(x: float) -> float:
-    """Sign (+1.0 or -1.0) of Gamma(x); raises at exact nonpositive integers."""
+    """Sign of Gamma(x): -1.0 on (-1, 0), (-3, -2), ..., else +1.0; raises at the poles."""
     if _is_pole(x):
         raise GammaPoleError(f"gamma pole at x = {x!r}")
-    return float(_sign_gamma(x))
+    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) with sign, via exp(log_gamma)."""
-    return gamma_sign(x) * math.exp(log_gamma(x))
+    """Gamma(x) with sign; raises at exact nonpositive integers."""
+    if _is_pole(x):
+        raise GammaPoleError(f"gamma pole at x = {x!r}")
+    return math.gamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x); 0.0 exactly at the poles, where 1/Gamma extends smoothly.
-
-    Only exact nonpositive integers count as poles.  Arguments below 0.5
-    go through the reflection formula 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi,
-    whose sine is evaluated on the exact distance to the nearest integer, so
-    the relative accuracy does not degrade however close x is to a pole,
-    from either side.
-    """
-    if _is_pole(x):
-        return 0.0
-    return float(_sign_gamma(x)) * math.exp(-float(_log_abs_gamma(x)))
+    """1/Gamma(x); 0.0 exactly at the poles, where 1/Gamma extends smoothly."""
+    return 0.0 if _is_pole(x) else gamma_sign(x) * math.exp(-math.lgamma(x))
 
 
 def h_factorial(t: float, nu: float, h: float) -> float:
@@ -162,37 +94,55 @@ def h_factorial(t: float, nu: float, h: float) -> float:
 
     Conventions: the value is 0 when t/h+1-nu is a nonpositive integer while
     t/h+1 is not; when t/h+1 itself is a nonpositive integer the value is
-    undefined and :class:`HFactorialPoleError` is raised.
+    undefined and :class:`HFactorialPoleError` is raised.  A value beyond
+    the double range raises ``OverflowError``.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got h = {h!r}")
+    _require_step(h)
     num = t / h + 1.0
-    den = num - nu
-    num_is_int, num_k = _nearest_int(num)
-    den_is_int, den_k = _nearest_int(den)
-    if num_is_int and num_k <= 0:
+    if _near_pole(num):
         raise HFactorialPoleError(
             f"undefined: t/h + 1 = {num!r} is a nonpositive integer"
         )
-    if den_is_int and den_k <= 0:
+    if _near_pole(num - nu):
         return 0.0
-    sign = float(_sign_gamma(num)) * float(_sign_gamma(den))
-    return h**nu * sign * math.exp(float(_log_abs_gamma(num) - _log_abs_gamma(den)))
+    with np.errstate(over="ignore"):
+        value = float(_h_factorial_array(np.array([num]), nu, h)[0])
+    if not math.isfinite(value):
+        raise OverflowError(f"h_factorial overflows at t/h + 1 = {num!r}, nu = {nu!r}")
+    return value
 
 
 def _h_factorial_array(num: np.ndarray, nu: float, h: float) -> np.ndarray:
-    """Vectorized falling factorial h^nu Gamma(num)/Gamma(num-nu), num = t/h + 1.
+    """h^nu Gamma(num)/Gamma(num-nu) elementwise, num = t/h + 1: the one gamma ratio.
 
-    Builds the gamma-ratio kernels of the ``*_direct`` operator forms only;
-    their arguments are known to avoid both the pole and the
-    zero-convention cases.  It takes the numerator argument itself rather
-    than t/h, so a caller can pass one whose distance to a gamma pole is
-    exact.  Production kernels come from :func:`binomial_weights`.
+    With num and num - nu both at least ``_STIRLING_MIN`` the log of the
+    value is nu ln(num h) - (num-nu-1/2) log1p(-nu/num) - nu + S(num) - S(num-nu),
+    whose terms do not cancel the way ln Gamma(num) - ln Gamma(num-nu) does
+    (losing eps*num*ln(num)), and in which h^nu cannot leave the double
+    range on its own.  Below, the standard library's gammas, or their signed
+    logs where a gamma or the product could leave the double range.  Callers
+    keep off the poles and zeros, and pass num itself so that it can be exact.
     """
-    num = np.asarray(num, dtype=float)
-    den = num - nu
-    sign = _sign_gamma(num) * _sign_gamma(den)
-    return h**nu * sign * np.exp(_log_abs_gamma(num) - _log_abs_gamma(den))
+    x = np.asarray(num, dtype=float)
+    y = x - nu
+    log_h = math.log(h)
+    big = np.minimum(x, y) >= _STIRLING_MIN
+    xb, yb = x[big], y[big]
+    out = np.empty_like(x)
+    out[big] = np.exp(
+        nu * np.log(xb * h) - (yb - 0.5) * np.log1p(-nu / xb) - nu
+        + (_stirling_tail(xb) - _stirling_tail(yb))
+    )
+    for i in np.flatnonzero(~big):
+        a, b = float(x[i]), float(y[i])
+        value = 0.0
+        if max(abs(a), abs(b)) < 170.0 and abs(nu * log_h) < 600.0:  # finite factors
+            value = h**nu * (math.gamma(a) / math.gamma(b))
+        if not 0.0 < abs(value) < math.inf:  # not tried, or the product left the range
+            log_value = math.lgamma(a) - math.lgamma(b) + nu * log_h
+            value = gamma_sign(a) * gamma_sign(b) * math.exp(log_value)
+        out[i] = value
+    return out
 
 
 def binomial_weights(nu: float, n: int) -> np.ndarray:

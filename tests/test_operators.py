@@ -1,6 +1,7 @@
 """Tests for the grid types and the fractional operators."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -60,12 +61,14 @@ class TestGrid:
             HGrid(0.0, 1.0, 0)
 
     @pytest.mark.parametrize("a,h", [
-        (0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0),
+        (0.0, np.nan), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0), (np.nan, 1.0), (-np.inf, 1.0),
     ])
     def test_non_finite_grid_rejected(self, a, h):
         # HGrid(0.0, nan, 5) once built, and fractional_sum over it was all NaN.
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as err:
             HGrid(a, h, 5)
+        if math.isfinite(a):  # h_factorial shares the step check and its message
+            assert str(err.value) == f"step must be finite and positive, got h = {h!r}"
 
     def test_values_validation(self):
         grid = HGrid(0.0, 1.0, 3)

@@ -100,9 +100,12 @@ class TestHFactorial:
         with pytest.raises(HFactorialPoleError):
             h_factorial(-3.0, 0.25, 1.0)
 
-    def test_negative_step_rejected(self):
-        with pytest.raises(ValueError):
-            h_factorial(1.0, 0.5, -1.0)
+    @pytest.mark.parametrize("h", [-1.0, 0.0, math.inf, math.nan])
+    def test_negative_step_rejected(self, h):
+        # HGrid's check and message: inf once returned inf, nan a conversion error.
+        with pytest.raises(ValueError) as err:
+            h_factorial(1.0, 0.5, h)
+        assert str(err.value) == f"step must be finite and positive, got h = {h!r}"
 
     def test_difference_identity(self):
         # ((tau-h)^(nu) - tau^(nu)) / h = -nu * (tau-h)^(nu-1) on random
